@@ -23,8 +23,10 @@ from repro.obs.manifest import config_digest, git_rev
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 #: Persistent compile cache shared by all benchmarks, re-invocations, and
-#: run_parallel workers. Keys embed CACHE_SCHEMA_VERSION, so a stale
-#: directory is never *wrong*, merely cold. Delete it to force re-PnR.
+#: run_parallel workers. Keys are derived from every compile input plus a
+#: digest of the compiler's sources (repro.exp.runner.compile_key), so a
+#: stale directory is never *wrong*, merely cold after a compiler edit.
+#: Delete it to force re-PnR.
 COMPILE_CACHE_DIR = pathlib.Path(__file__).parent / ".compile-cache"
 GLOBAL_CACHE.enable_disk(COMPILE_CACHE_DIR)
 

@@ -216,7 +216,8 @@ def main() -> int:
             "resumed attempt did not execute fewer cycles than the full run"
         )
         print(
-            f"      {record['workload']}/{record['config']}: resumed from "
+            f"      {record['spec']['workload']}/"
+            f"{record['spec']['config']['name']}: resumed from "
             f"cycle {info['from_cycle']} "
             f"({final_attempt}/{record['stats']['executed_cycles']} cycles "
             "in the final attempt)"

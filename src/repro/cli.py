@@ -41,13 +41,13 @@ import json
 import sys
 
 from repro.arch.fabric import TOPOLOGIES, build_fabric
-from repro.arch.params import ArchParams
+from repro.arch.params import ArchParams, SimParams
 from repro.core.criticality import format_report
 from repro.core.policy import POLICIES, get_policy
 from repro.exp import figures as figures_mod
 from repro.exp.configs import MONACO, ideal, numa, upea
 from repro.exp.report import format_figure
-from repro.exp.runner import PAPER_DIVIDER, compile_cached, run_config
+from repro.exp.runner import RunSpec, execute
 from repro.exp.tables import format_table1, table1
 from repro.pnr.viz import fabric_map, placement_map
 from repro.sim.energy import estimate_energy
@@ -82,6 +82,42 @@ def _config_for(name: str):
     )
 
 
+def _spec_options() -> argparse.ArgumentParser:
+    """The options every single-workload command shares; read back into
+    a :class:`~repro.exp.runner.RunSpec` by :func:`spec_from_args`."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--scale", default="small")
+    common.add_argument(
+        "--config", default="monaco",
+        help="monaco | ideal | upeaN | numaN (default: monaco)",
+    )
+    common.add_argument(
+        "--policy", choices=sorted(POLICIES), default="effcc"
+    )
+    common.add_argument("--rows", type=int, default=12)
+    common.add_argument("--cols", type=int, default=12)
+    common.add_argument("--topology", default="monaco")
+    common.add_argument("--tracks", type=int, default=3)
+    common.add_argument("--seed", type=int, default=0)
+    return common
+
+
+def spec_from_args(args, workload: str | None = None, **sim) -> RunSpec:
+    """The point the shared options name; ``sim`` sets
+    :class:`~repro.arch.params.SimParams` fields. The divider follows
+    the routed rule."""
+    return RunSpec(
+        workload or args.workload,
+        scale=args.scale,
+        seed=args.seed,
+        fabric=(args.topology, args.rows, args.cols),
+        arch=ArchParams(noc_tracks=args.tracks, sim=SimParams(**sim)),
+        config=_config_for(args.config),
+        policy=args.policy,
+        profile_guided=getattr(args, "profile_guided", False),
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -98,23 +134,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_fabric.add_argument("--rows", type=int, default=12)
     p_fabric.add_argument("--cols", type=int, default=12)
 
+    common = _spec_options()
     p_run = sub.add_parser(
-        "run", help="compile + simulate one workload"
+        "run", parents=[common], help="compile + simulate one workload"
     )
     p_run.add_argument("workload", choices=sorted(ALL_WORKLOADS))
-    p_run.add_argument("--scale", default="small")
-    p_run.add_argument(
-        "--config", default="monaco",
-        help="monaco | ideal | upeaN | numaN (default: monaco)",
-    )
-    p_run.add_argument(
-        "--policy", choices=sorted(POLICIES), default="effcc"
-    )
-    p_run.add_argument("--rows", type=int, default=12)
-    p_run.add_argument("--cols", type=int, default=12)
-    p_run.add_argument("--topology", default="monaco")
-    p_run.add_argument("--tracks", type=int, default=3)
-    p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument(
         "--map", action="store_true", help="print the placement map"
     )
@@ -168,28 +192,13 @@ def build_parser() -> argparse.ArgumentParser:
         "(see repro.core.profile)",
     )
 
-    def add_sim_args(p):
-        p.add_argument("workload", choices=sorted(ALL_WORKLOADS))
-        p.add_argument("--scale", default="small")
-        p.add_argument(
-            "--config", default="monaco",
-            help="monaco | ideal | upeaN | numaN (default: monaco)",
-        )
-        p.add_argument(
-            "--policy", choices=sorted(POLICIES), default="effcc"
-        )
-        p.add_argument("--rows", type=int, default=12)
-        p.add_argument("--cols", type=int, default=12)
-        p.add_argument("--topology", default="monaco")
-        p.add_argument("--tracks", type=int, default=3)
-        p.add_argument("--seed", type=int, default=0)
-
     p_profile = sub.add_parser(
         "profile",
+        parents=[common],
         help="simulate with cycle-attribution tracing and print the "
         "stall-taxonomy tables and traffic heatmaps",
     )
-    add_sim_args(p_profile)
+    p_profile.add_argument("workload", choices=sorted(ALL_WORKLOADS))
     p_profile.add_argument(
         "--top", type=int, default=20,
         help="rows of the per-node attribution table (default 20)",
@@ -206,6 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_crit = sub.add_parser(
         "critpath",
+        parents=[common],
         help="simulate with the dynamic critical-path profiler and "
         "print cycle-exact blame attribution (costs sum to "
         "system_cycles); --validate scores the static class-A/B "
@@ -214,19 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_crit.add_argument(
         "workload", choices=sorted(ALL_WORKLOADS), nargs="?", default=None,
     )
-    p_crit.add_argument("--scale", default="small")
-    p_crit.add_argument(
-        "--config", default="monaco",
-        help="monaco | ideal | upeaN | numaN (default: monaco)",
-    )
-    p_crit.add_argument(
-        "--policy", choices=sorted(POLICIES), default="effcc"
-    )
-    p_crit.add_argument("--rows", type=int, default=12)
-    p_crit.add_argument("--cols", type=int, default=12)
-    p_crit.add_argument("--topology", default="monaco")
-    p_crit.add_argument("--tracks", type=int, default=3)
-    p_crit.add_argument("--seed", type=int, default=0)
     p_crit.add_argument(
         "--top", type=int, default=10,
         help="rows of the critical-memory-node table (default 10)",
@@ -248,10 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trace = sub.add_parser(
         "trace",
+        parents=[common],
         help="simulate with tracing and export a Chrome trace_event "
         "JSON (Perfetto / chrome://tracing)",
     )
-    add_sim_args(p_trace)
+    p_trace.add_argument("workload", choices=sorted(ALL_WORKLOADS))
     p_trace.add_argument(
         "--out", default="trace.json", metavar="PATH",
         help="where to write the trace (default: trace.json)",
@@ -259,10 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fdo = sub.add_parser(
         "fdo",
+        parents=[common],
         help="feedback-directed placement: compile -> profiled run -> "
         "per-node blame -> reweighted PnR, iterated to convergence",
     )
-    add_sim_args(p_fdo)
+    p_fdo.add_argument("workload", choices=sorted(ALL_WORKLOADS))
     p_fdo.add_argument(
         "--rounds", type=int, default=3, metavar="N",
         help="bound on feedback rounds after the static round 0 "
@@ -494,32 +493,32 @@ def cmd_fabric(args) -> int:
 
 
 def cmd_run(args) -> int:
-    from repro.arch.params import SimParams
+    from repro.errors import SimulationPreempted
 
-    instance = make_workload(args.workload, scale=args.scale, seed=args.seed)
     checkpoint_path = args.checkpoint
     if checkpoint_path is None and args.checkpoint_every:
         checkpoint_path = f"{args.workload}.snap"
-    arch = ArchParams(
-        noc_tracks=args.tracks,
-        sim=SimParams(
-            cycle_skip=not args.no_cycle_skip,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=args.checkpoint_every,
-        ),
+    spec = spec_from_args(
+        args,
+        cycle_skip=not args.no_cycle_skip,
+        checkpoint_path=checkpoint_path,
+        checkpoint_every=args.checkpoint_every,
     )
-    fabric = build_fabric(args.topology, args.rows, args.cols)
-    policy = get_policy(args.policy)
-    compiled = compile_cached(
-        instance,
-        fabric,
-        arch,
-        policy=policy,
-        seed=args.seed,
-        incremental=not args.naive_pnr,
-        portfolio_jobs=args.portfolio_jobs,
-        profile_guided=args.profile_guided,
-    )
+    try:
+        compiled, run = execute(
+            spec,
+            incremental=not args.naive_pnr,
+            portfolio_jobs=args.portfolio_jobs,
+            resume_from=args.resume_from,
+        )
+    except SimulationPreempted as exc:
+        # Exit 75 (EX_TEMPFAIL): the run was preempted but left a
+        # resumable snapshot — rerun with --resume-from to continue.
+        print(f"preempted at cycle {exc.cycle}: snapshot written to "
+              f"{exc.snapshot_path}")
+        print(f"resume with: repro run {args.workload} --scale {args.scale} "
+              f"--config {args.config} --resume-from {exc.snapshot_path}")
+        return 75
     print(compiled.summary())
     profile_report = compiled.meta.get("profile")
     if profile_report is not None:
@@ -544,30 +543,13 @@ def cmd_run(args) -> int:
         print(format_report(compiled.dfg, compiled.criticality))
     if args.map:
         print(placement_map(compiled))
-    config = _config_for(args.config)
-    divider = max(PAPER_DIVIDER, compiled.timing.clock_divider)
-    from repro.errors import SimulationPreempted
-
-    try:
-        run = run_config(
-            instance, compiled, config, arch, divider=divider,
-            resume_from=args.resume_from,
-        )
-    except SimulationPreempted as exc:
-        # Exit 75 (EX_TEMPFAIL): the run was preempted but left a
-        # resumable snapshot — rerun with --resume-from to continue.
-        print(f"preempted at cycle {exc.cycle}: snapshot written to "
-              f"{exc.snapshot_path}")
-        print(f"resume with: repro run {args.workload} --scale {args.scale} "
-              f"--config {args.config} --resume-from {exc.snapshot_path}")
-        return 75
     if run.resume_info is not None:
         print(
             f"resumed from {run.resume_info['snapshot']} at cycle "
             f"{run.resume_info['from_cycle']}"
         )
     print(
-        f"{args.workload} on {config.name}: {run.cycles} system cycles "
+        f"{args.workload} on {run.config}: {run.cycles} system cycles "
         f"(output verified)"
     )
     print("stats:", run.stats.summary())
@@ -590,42 +572,13 @@ def _stats_payload(stats) -> dict:
 
 def _traced_run(args, trace_path=None):
     """Shared setup for ``profile`` and ``trace``: one traced simulation."""
-    from repro.arch.params import SimParams
-
-    instance = make_workload(args.workload, scale=args.scale, seed=args.seed)
-    arch = ArchParams(
-        noc_tracks=args.tracks,
-        sim=SimParams(trace=True, trace_path=trace_path),
-    )
-    fabric = build_fabric(args.topology, args.rows, args.cols)
-    policy = get_policy(args.policy)
-    compiled = compile_cached(
-        instance, fabric, arch, policy=policy, seed=args.seed
-    )
-    config = _config_for(args.config)
-    divider = max(PAPER_DIVIDER, compiled.timing.clock_divider)
-    run = run_config(instance, compiled, config, arch, divider=divider)
-    return fabric, compiled, config, run
+    return execute(spec_from_args(args, trace=True, trace_path=trace_path))
 
 
 def _critpath_run(args, workload: str):
     """One profiled run: compile ``workload`` and simulate with the
     critical-path recorder attached."""
-    from repro.arch.params import SimParams
-
-    instance = make_workload(workload, scale=args.scale, seed=args.seed)
-    arch = ArchParams(
-        noc_tracks=args.tracks, sim=SimParams(critpath=True)
-    )
-    fabric = build_fabric(args.topology, args.rows, args.cols)
-    policy = get_policy(args.policy)
-    compiled = compile_cached(
-        instance, fabric, arch, policy=policy, seed=args.seed
-    )
-    config = _config_for(args.config)
-    divider = max(PAPER_DIVIDER, compiled.timing.clock_divider)
-    run = run_config(instance, compiled, config, arch, divider=divider)
-    return compiled, config, run
+    return execute(spec_from_args(args, workload, critpath=True))
 
 
 def cmd_critpath(args) -> int:
@@ -638,7 +591,7 @@ def cmd_critpath(args) -> int:
         rows = []
         reports = {}
         for name in sorted(ALL_WORKLOADS):
-            compiled, config, run = _critpath_run(args, name)
+            compiled, run = _critpath_run(args, name)
             recorder = run.obs.critpath
             rows.extend(
                 validate_against_dynamic(
@@ -650,7 +603,7 @@ def cmd_critpath(args) -> int:
             )
             reports[name] = recorder.report
             print(
-                f"{name:12s} {run.cycles:>10d} cycles on {config.name} "
+                f"{name:12s} {run.cycles:>10d} cycles on {run.config} "
                 "(output verified)"
             )
         print()
@@ -679,11 +632,11 @@ def cmd_critpath(args) -> int:
         return 0
     if args.workload is None:
         raise SystemExit("pass a workload, or --validate for all of them")
-    compiled, config, run = _critpath_run(args, args.workload)
+    compiled, run = _critpath_run(args, args.workload)
     recorder = run.obs.critpath
     print(compiled.summary())
     print(
-        f"{args.workload} on {config.name}: {run.cycles} system cycles "
+        f"{args.workload} on {run.config}: {run.cycles} system cycles "
         f"(output verified)"
     )
     print("stats:", run.stats.summary())
@@ -706,10 +659,11 @@ def cmd_critpath(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    fabric, compiled, config, run = _traced_run(args)
+    compiled, run = _traced_run(args)
+    fabric = compiled.fabric
     print(compiled.summary())
     print(
-        f"{args.workload} on {config.name}: {run.cycles} system cycles "
+        f"{args.workload} on {run.config}: {run.cycles} system cycles "
         f"(output verified)"
     )
     print("stats:", run.stats.summary())
@@ -739,9 +693,9 @@ def cmd_profile(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    _fabric, _compiled, config, run = _traced_run(args, trace_path=args.out)
+    _compiled, run = _traced_run(args, trace_path=args.out)
     print(
-        f"{args.workload} on {config.name}: {run.cycles} system cycles "
+        f"{args.workload} on {run.config}: {run.cycles} system cycles "
         f"(output verified)"
     )
     n_events = len(run.obs.chrome.events)
@@ -755,15 +709,16 @@ def cmd_trace(args) -> int:
 def cmd_fdo(args) -> int:
     from repro.exp.fdo import run_fdo
 
+    spec = spec_from_args(args)
     result = run_fdo(
-        args.workload,
+        spec.workload,
         rounds=args.rounds,
-        scale=args.scale,
-        seed=args.seed,
-        config=_config_for(args.config),
-        arch=ArchParams(noc_tracks=args.tracks),
-        fabric_spec=(args.topology, args.rows, args.cols),
-        policy=get_policy(args.policy),
+        scale=spec.scale,
+        seed=spec.seed,
+        config=spec.config,
+        arch=spec.arch,
+        fabric_spec=spec.fabric,
+        policy=get_policy(spec.policy),
         portfolio_jobs=args.portfolio_jobs,
         manifest_path=args.manifest,
     )
@@ -910,7 +865,7 @@ def cmd_cache(args) -> int:
         print(f"disk dir:     {info['disk_dir']}")
         print(f"disk entries: {info['disk_entries']}")
         print(f"disk bytes:   {info['disk_bytes']}")
-        print(f"schema:       v{info['schema']}")
+        print(f"compiler:     {info['compiler']}")
     elif args.action == "clear":
         removed = GLOBAL_CACHE.clear_disk()
         print(f"removed {removed} entr{'y' if removed == 1 else 'ies'}")

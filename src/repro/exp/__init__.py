@@ -30,9 +30,10 @@ from repro.exp.report import format_figure
 from repro.exp.runner import (
     PAPER_DIVIDER,
     RunResult,
+    RunSpec,
     compile_cached,
+    execute,
     run_config,
-    run_workload_on_configs,
 )
 from repro.exp.tables import format_table1, table1
 
@@ -48,7 +49,9 @@ __all__ = [
     "MachineConfig",
     "PAPER_DIVIDER",
     "RunResult",
+    "RunSpec",
     "compile_cached",
+    "execute",
     "fig6c",
     "fig11",
     "fig12",
@@ -63,7 +66,6 @@ __all__ = [
     "numa",
     "primary_configs",
     "run_config",
-    "run_workload_on_configs",
     "table1",
     "upea",
 ]

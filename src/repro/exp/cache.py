@@ -5,19 +5,22 @@ Two layers:
 * an in-process dict (always on) — one compile per key per process;
 * an optional on-disk pickle store — compiled kernels survive across
   benchmark invocations and are shared between the parallel harness's
-  worker processes, so a (workload, fabric, policy, parallelism, seed)
-  point is placed-and-routed once per machine, not once per process.
+  worker processes, so a compile key is placed-and-routed once per
+  machine, not once per process.
 
-Disk entries are keyed by a digest of ``(CACHE_SCHEMA_VERSION, key)``;
-bump :data:`CACHE_SCHEMA_VERSION` whenever the pickled layout of
-:class:`~repro.pnr.result.CompiledKernel` (or anything it references)
-changes, and stale entries are simply never looked up again. Writes are
-atomic (temp file + ``os.replace``) so concurrent workers racing on the
-same key at worst compile twice — never read a torn pickle.
+Keys are derived by :func:`repro.exp.runner.compile_key`, which folds in
+:func:`compiler_digest` — a digest of the compiler's own sources. Any
+edit to the IR, lowering, criticality, PnR or architecture code (which
+also covers the pickled layout of
+:class:`~repro.pnr.result.CompiledKernel`) changes every key, so stale
+disk entries are simply never looked up again. Writes are atomic (temp
+file + ``os.replace``) so concurrent workers racing on the same key at
+worst compile twice — never read a torn pickle.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import pickle
@@ -27,10 +30,27 @@ from pathlib import Path
 
 from repro.pnr.result import CompiledKernel
 
-#: Bump when the pickled CompiledKernel layout changes; old on-disk
-#: entries become unreachable (different digest) instead of unpicklable.
-#: v2: CompiledKernel.pnr (PnRStats), RoutingResult.nets_rerouted/wall_s.
-CACHE_SCHEMA_VERSION = 2
+#: The ``repro`` packages and modules whose source determines a compiled
+#: artifact (and its pickled layout).
+COMPILER_SOURCES = ("ir", "dfg", "core", "pnr", "arch", "isa.py", "errors.py")
+
+
+@functools.lru_cache(maxsize=1)
+def compiler_digest() -> str:
+    """16-hex digest of the compiler's sources (:data:`COMPILER_SOURCES`).
+
+    Part of every compile key, so a PnR change can never be served an
+    artifact the old code compiled."""
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for name in COMPILER_SOURCES:
+        path = root / name
+        sources = sorted(path.rglob("*.py")) if path.is_dir() else [path]
+        for source in sources:
+            digest.update(source.relative_to(root).as_posix().encode())
+            digest.update(b"\0")
+            digest.update(source.read_bytes())
+    return digest.hexdigest()[:16]
 
 
 def default_cache_dir() -> Path:
@@ -47,7 +67,7 @@ def default_cache_dir() -> Path:
 
 
 class CompileCache:
-    """Memoizes compiled kernels by an explicit configuration key."""
+    """Memoizes compiled kernels by a configuration key."""
 
     def __init__(self, disk_dir: str | os.PathLike | None = None):
         self._store: dict[tuple, CompiledKernel] = {}
@@ -67,8 +87,7 @@ class CompileCache:
         self.disk_dir = None
 
     def _path_for(self, key: tuple) -> Path:
-        payload = repr((CACHE_SCHEMA_VERSION, key)).encode()
-        digest = hashlib.sha256(payload).hexdigest()
+        digest = hashlib.sha256(repr(key).encode()).hexdigest()
         return self.disk_dir / f"{digest}.pkl"
 
     def _disk_load(self, key: tuple) -> CompiledKernel | None:
@@ -151,7 +170,7 @@ class CompileCache:
             except OSError:
                 continue
         return {
-            "schema": CACHE_SCHEMA_VERSION,
+            "compiler": compiler_digest(),
             "memory_entries": len(self._store),
             "hits": self.hits,
             "misses": self.misses,

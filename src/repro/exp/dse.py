@@ -16,7 +16,7 @@ from repro.arch.params import ArchParams
 from repro.core.policy import EFFCC
 from repro.errors import PnRError
 from repro.exp.figures import FigureResult
-from repro.exp.runner import PAPER_DIVIDER, compile_cached, run_config
+from repro.exp.runner import compile_cached, run_config
 from repro.exp.configs import MONACO
 from repro.workloads.registry import make_workload
 
@@ -58,10 +58,7 @@ def ls_placement_dse(
                         instance, fabric, arch, policy=EFFCC, seed=seed
                     )
                     run = run_config(
-                        instance, compiled, MONACO, arch,
-                        divider=max(
-                            PAPER_DIVIDER, compiled.timing.clock_divider
-                        ),
+                        instance, compiled, MONACO, arch, divider=None
                     )
                     row[label] = float(run.cycles)
                     meta[label] = float(compiled.parallelism)

@@ -33,16 +33,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.arch.fabric import build_fabric
 from repro.arch.params import ArchParams
 from repro.core.policy import EFFCC, PlacementPolicy
 from repro.exp.configs import MONACO, MachineConfig
 from repro.exp.runner import (
     DEFAULT_FABRIC_SPEC,
-    PAPER_DIVIDER,
     FabricSpec,
-    compile_cached,
-    run_config,
+    RunSpec,
+    execute,
     weight_map_digest,
 )
 from repro.obs.manifest import append_manifest
@@ -227,8 +225,15 @@ def run_fdo(
     """
     config = config or MONACO
     arch = arch or ArchParams()
-    arch = replace(arch, sim=replace(arch.sim, critpath=True))
-    fabric = build_fabric(*fabric_spec)
+    spec = RunSpec(
+        workload,
+        scale,
+        seed,
+        fabric=fabric_spec,
+        arch=replace(arch, sim=replace(arch.sim, critpath=True)),
+        config=config,
+        policy=policy.name,
+    )
     instance = make_workload(workload, scale=scale, seed=seed)
 
     identity = {
@@ -240,35 +245,24 @@ def run_fdo(
     }
     journal: list[FdoRound] = []
     weights: dict[int, float] = {}
-    parallelism: int | None = None
     seen_cycles: set[int] = set()
     stopped = "round-bound"
 
     for rnd in range(rounds + 1):
-        compiled = compile_cached(
-            instance,
-            fabric,
-            arch,
-            policy=policy,
-            parallelism=parallelism,
-            seed=seed,
-            portfolio_jobs=portfolio_jobs,
-            node_weights=weights if rnd else None,
+        compiled, run = execute(
+            spec, instance=instance, portfolio_jobs=portfolio_jobs
         )
-        if parallelism is None:
-            # Pin the degree round 0's search chose: later rounds must
-            # lower the *same* DFG so the node ids the weight map names
-            # keep meaning the same loads.
-            parallelism = compiled.parallelism
-        divider = max(PAPER_DIVIDER, compiled.timing.clock_divider)
-        run = run_config(instance, compiled, config, arch, divider=divider)
+        # Pin the degree round 0's search chose: later rounds must lower
+        # the *same* DFG so the node ids the weight map names keep
+        # meaning the same loads. The divider follows the routed rule.
+        spec = replace(spec, parallelism=compiled.parallelism)
         blame = run.obs.critpath.per_node_blame()
         next_weights = blame_to_weights(blame, policy)
         record = FdoRound(
             round=rnd,
             weights=dict(weights),
             parallelism=compiled.parallelism,
-            divider=divider,
+            divider=run.stats.clock_divider,
             cycles=run.cycles,
             next_weights=next_weights,
             degenerate=not next_weights,
@@ -291,6 +285,7 @@ def run_fdo(
             break
         seen_cycles.add(run.cycles)
         weights = next_weights
+        spec = replace(spec, node_weights=weights)
 
     return FdoResult(
         workload=workload,

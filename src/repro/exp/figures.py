@@ -17,11 +17,7 @@ from repro.arch.params import ArchParams
 from repro.core.policy import DOMAIN_AWARE, DOMAIN_UNAWARE, EFFCC
 from repro.errors import PnRError
 from repro.exp.configs import MONACO, ideal, numa, primary_configs, upea
-from repro.exp.runner import (
-    PAPER_DIVIDER,
-    compile_cached,
-    run_config,
-)
+from repro.exp.runner import compile_cached, run_config
 from repro.workloads.registry import ALL_WORKLOADS, make_workload
 
 
@@ -83,13 +79,7 @@ def fig_stalls(
     from repro.obs.events import FIRE, STALL_KINDS
 
     arch = arch or ArchParams()
-    arch = ArchParams(
-        memory=arch.memory,
-        sim=replace(arch.sim, trace=True),
-        timing=arch.timing,
-        noc_tracks=arch.noc_tracks,
-        noc_model=arch.noc_model,
-    )
+    arch = replace(arch, sim=replace(arch.sim, trace=True))
     config = config or MONACO
     fabric = monaco(12, 12)
     kinds = [FIRE] + list(STALL_KINDS)
@@ -138,13 +128,7 @@ def fig_critblame(
     from repro.obs.critpath import ROLLUP_ORDER
 
     arch = arch or ArchParams()
-    arch = ArchParams(
-        memory=arch.memory,
-        sim=replace(arch.sim, critpath=True),
-        timing=arch.timing,
-        noc_tracks=arch.noc_tracks,
-        noc_model=arch.noc_model,
-    )
+    arch = replace(arch, sim=replace(arch.sim, critpath=True))
     fabric = monaco(12, 12)
     configs = [MONACO, upea(2)]
     result = FigureResult(
@@ -213,12 +197,11 @@ def fig_fdo(
         static_c = compile_cached(
             instance, fabric, arch, policy=EFFCC, seed=seed
         )
-        divider = max(PAPER_DIVIDER, static_c.timing.clock_divider)
         upea_cycles = run_config(
-            instance, static_c, baseline, arch, divider=divider
+            instance, static_c, baseline, arch, divider=None
         ).cycles
         static_cycles = run_config(
-            instance, static_c, MONACO, arch, divider=divider
+            instance, static_c, MONACO, arch, divider=None
         ).cycles
         guided_c = compile_cached(
             instance,
@@ -230,11 +213,7 @@ def fig_fdo(
             profile_guided=True,
         )
         guided_cycles = run_config(
-            instance,
-            guided_c,
-            MONACO,
-            arch,
-            divider=max(PAPER_DIVIDER, guided_c.timing.clock_divider),
+            instance, guided_c, MONACO, arch, divider=None
         ).cycles
         fdo_res = run_fdo(
             name, rounds=rounds, scale=scale, seed=seed, arch=arch
@@ -644,11 +623,8 @@ def fig16(
                     row[label] = float("inf")
                     raw[label] = float("inf")
                     continue
-                divider = max(
-                    PAPER_DIVIDER, compiled.timing.clock_divider
-                )
                 run = run_config(
-                    instance, compiled, MONACO, arch, divider=divider
+                    instance, compiled, MONACO, arch, divider=None
                 )
                 row[label] = float(run.cycles)
                 raw[label] = float(run.cycles)

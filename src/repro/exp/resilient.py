@@ -31,6 +31,7 @@ scheduler:
 
 from __future__ import annotations
 
+import functools
 import os
 import signal
 import threading
@@ -38,7 +39,7 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.arch.params import ArchParams
 from repro.core.policy import EFFCC, PlacementPolicy
@@ -54,14 +55,18 @@ from repro.errors import (
     SimulationPreempted,
     ValidationError,
 )
+from repro.exp.runner import (
+    DEFAULT_FABRIC_SPEC,
+    PAPER_DIVIDER,
+    RunSpec,
+    _run_sweep_job,
+)
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
     append_manifest,
     build_manifest,
     completed_points,
-    config_digest,
     git_rev,
-    point_fields,
 )
 
 #: Stride between perturbed placement seeds on PnR retry. A large prime
@@ -249,33 +254,14 @@ class FailureRecord:
             f"[{self.kind}]{extra} {self.message.splitlines()[0]}"
         )
 
-    def to_manifest(
-        self,
-        *,
-        scale: str,
-        divider: int,
-        fabric_spec=None,
-        policy: str | None = None,
-        faults: str | None = None,
-        profile: str | None = None,
-    ) -> dict:
-        """A ``status: failed`` journal record for this failure."""
-        identity = point_fields(
-            workload=self.workload,
-            config=self.config,
-            scale=scale,
-            seed=self.seed,
-            divider=divider,
-            fabric=fabric_spec,
-            policy=policy,
-            faults=faults,
-            profile=profile,
-        )
+    def to_manifest(self, spec: RunSpec) -> dict:
+        """A ``status: failed`` journal record for this failure of the
+        point ``spec``."""
         return {
             "schema": MANIFEST_SCHEMA,
             "status": "failed",
-            "point_digest": config_digest(identity),
-            **identity,
+            "point_digest": spec.digest(),
+            "spec": spec.identity(),
             "kind": self.kind,
             "message": self.message,
             "attempts": self.attempts,
@@ -315,16 +301,19 @@ class SweepOutcome:
 class _Job:
     """Mutable supervision state for one sweep point."""
 
-    name: str
-    config: object  # MachineConfig
-    seed: int
+    spec: RunSpec
     attempts: int = 0
     pnr_seed: int | None = None
     pnr_seeds: list[int] = field(default_factory=list)
+    #: The point's journal identity (:meth:`RunSpec.digest`).
+    digest: str = field(init=False)
+
+    def __post_init__(self):
+        self.digest = self.spec.digest()
 
     @property
     def key(self) -> tuple[str, str, int]:
-        return (self.name, self.config.name, self.seed)
+        return (self.spec.workload, self.spec.config.name, self.spec.seed)
 
 
 def run_resilient(
@@ -334,8 +323,8 @@ def run_resilient(
     seeds: tuple[int, ...] = (0,),
     arch: ArchParams | None = None,
     policy: PlacementPolicy = EFFCC,
-    divider: int | None = None,
-    fabric_spec=None,
+    divider: int | None = PAPER_DIVIDER,
+    fabric_spec=DEFAULT_FABRIC_SPEC,
     max_workers: int | None = None,
     cache_dir=None,
     manifest_path=None,
@@ -351,12 +340,12 @@ def run_resilient(
     but returns a :class:`SweepOutcome` of ``(results, failures,
     skipped)`` instead of raising on the first bad point. With the
     default :data:`ABORT` policy the behavior — results, manifest
-    records, raised exception — is bit-identical to the historical
-    fail-fast sweep.
+    records, raised exception — is that of a fail-fast sweep.
 
-    ``resume=True`` requires ``manifest_path`` and skips every point the
-    journal proves complete (see
-    :func:`repro.obs.manifest.completed_points` for the digest
+    Each point is one :class:`~repro.exp.runner.RunSpec`; its digest is
+    the point's journal identity. ``resume=True`` requires
+    ``manifest_path`` and skips every point the journal proves complete
+    (see :func:`repro.obs.manifest.completed_points` for the digest
     validation that keeps a stale journal from poisoning the run).
 
     ``snapshot_dir`` arms mid-simulation checkpointing
@@ -369,54 +358,46 @@ def run_resilient(
     mismatched snapshots are detected, discarded and the point restarts
     fresh — never wedging the retry loop.
 
-    ``job_fn`` is a test seam: a picklable callable with
-    :func:`repro.exp.runner._run_sweep_job`'s signature.
+    ``job_fn`` is a test seam: a picklable callable taking one
+    :class:`~repro.exp.runner.RunSpec` (default:
+    :func:`repro.exp.runner._run_sweep_job` bound to this sweep's cache
+    directory, policy and journal).
 
     ``profile_guided`` compiles every point with profile-refined
     criticality (the profiling input is each point's own instance); the
-    journal identity gains a ``profile: "guided"`` marker, so profiled
-    and static sweeps can never resume from each other's journals.
+    flag is part of the spec, so profiled and static sweeps can never
+    resume from each other's journals.
     """
-    from repro.exp.runner import (
-        DEFAULT_FABRIC_SPEC,
-        PAPER_DIVIDER,
-        _fault_signature,
-        _run_sweep_job,
-    )
-
-    arch = arch or ArchParams()
-    divider = divider if divider is not None else PAPER_DIVIDER
-    fabric_spec = fabric_spec or DEFAULT_FABRIC_SPEC
     sweep_policy = sweep_policy or ABORT
-    job_fn = job_fn or _run_sweep_job
-    cache_str = str(cache_dir) if cache_dir is not None else None
-    faults_sig = _fault_signature(arch)
-    profile_sig = "guided" if profile_guided else None
     snapshot_str = str(snapshot_dir) if snapshot_dir is not None else None
     if snapshot_str is not None:
         os.makedirs(snapshot_str, exist_ok=True)
+    job_fn = job_fn or functools.partial(
+        _run_sweep_job,
+        cache_dir=str(cache_dir) if cache_dir is not None else None,
+        sweep_policy=sweep_policy,
+        journal=str(manifest_path) if manifest_path is not None else None,
+    )
 
+    arch = arch or ArchParams()
     jobs = [
-        _Job(name, config, seed)
+        _Job(
+            RunSpec(
+                name,
+                scale,
+                seed,
+                fabric=tuple(fabric_spec),
+                arch=arch,
+                config=config,
+                policy=policy.name,
+                profile_guided=profile_guided,
+                divider=divider,
+            )
+        )
         for name in workloads
         for config in configs
         for seed in seeds
     ]
-
-    def digest_of(job: _Job) -> str:
-        return config_digest(
-            point_fields(
-                workload=job.name,
-                config=job.config.name,
-                scale=scale,
-                seed=job.seed,
-                divider=divider,
-                fabric=fabric_spec,
-                policy=policy.name,
-                faults=faults_sig,
-                profile=profile_sig,
-            )
-        )
 
     outcome = SweepOutcome()
     if resume:
@@ -425,67 +406,33 @@ def run_resilient(
         done = completed_points(manifest_path)
         remaining = []
         for job in jobs:
-            if digest_of(job) in done:
+            if job.digest in done:
                 outcome.skipped.append(job.key)
             else:
                 remaining.append(job)
         jobs = remaining
 
-    def job_args(job: _Job) -> tuple:
-        args = [
-            job.name,
-            job.config,
-            scale,
-            job.seed,
-            arch,
-            divider,
-            policy.name,
-            fabric_spec,
-            cache_str,
-            job.pnr_seed,
-            sweep_policy.job_timeout_s,
-        ]
+    def attempt_spec(job: _Job) -> RunSpec:
+        """The spec one attempt runs: the point's own spec plus the
+        retry's placement seed and the snapshot location. Records are
+        journaled under the point's own spec, so a retried point still
+        proves itself complete for ``resume``."""
+        spec = replace(job.spec, pnr_seed=job.pnr_seed)
         if snapshot_str is not None:
-            # Appended only when snapshotting is armed, so job_fn doubles
-            # with the historical 11-argument signature keep working.
-            args.append(
-                {
-                    "dir": snapshot_str,
-                    "every": sweep_policy.checkpoint_every,
-                    "cycle_budget": sweep_policy.job_cycle_budget,
-                    "grace_s": sweep_policy.grace_s,
-                    "journal": (
-                        str(manifest_path)
-                        if manifest_path is not None
-                        else None
-                    ),
-                }
+            sim = replace(
+                spec.arch.sim,
+                checkpoint_path=os.path.join(
+                    snapshot_str, f"{job.digest}.snap"
+                ),
+                checkpoint_every=sweep_policy.checkpoint_every,
             )
-        elif profile_guided:
-            # Placeholder so profile_guided lands in its own slot; like
-            # the snapshot dict, trailing args appear only when the
-            # feature is on, keeping historical job_fn doubles working.
-            args.append(None)
-        if profile_guided:
-            args.append(True)
-        return tuple(args)
+            spec = replace(spec, arch=replace(spec.arch, sim=sim))
+        return spec
 
     def emit_success(job: _Job, run) -> None:
         outcome.results[job.key] = run
         if manifest_path is not None:
-            append_manifest(
-                manifest_path,
-                build_manifest(
-                    run,
-                    scale=scale,
-                    seed=job.seed,
-                    divider=divider,
-                    fabric_spec=fabric_spec,
-                    policy=policy.name,
-                    faults=faults_sig,
-                    profile=profile_sig,
-                ),
-            )
+            append_manifest(manifest_path, build_manifest(job.spec, run))
 
     def handle_failure(job: _Job, exc: BaseException, pending) -> None:
         kind = classify_failure(exc)
@@ -494,7 +441,7 @@ def run_resilient(
             raise exc
         if sweep_policy.wants_retry(kind, job.attempts):
             if kind in PNR_KINDS:
-                job.pnr_seed = job.seed + PNR_SEED_STRIDE * job.attempts
+                job.pnr_seed = job.spec.seed + PNR_SEED_STRIDE * job.attempts
                 job.pnr_seeds.append(job.pnr_seed)
             if sweep_policy.backoff_s:
                 time.sleep(
@@ -503,28 +450,18 @@ def run_resilient(
             pending.append(job)
             return
         failure = FailureRecord(
-            workload=job.name,
-            config=job.config.name,
-            seed=job.seed,
+            workload=job.spec.workload,
+            config=job.spec.config.name,
+            seed=job.spec.seed,
             kind=kind,
             message=str(exc),
             attempts=job.attempts,
             pnr_seeds=tuple(job.pnr_seeds),
-            point_digest=digest_of(job),
+            point_digest=job.digest,
         )
         outcome.failures.append(failure)
         if manifest_path is not None:
-            append_manifest(
-                manifest_path,
-                failure.to_manifest(
-                    scale=scale,
-                    divider=divider,
-                    fabric_spec=fabric_spec,
-                    policy=policy.name,
-                    faults=faults_sig,
-                    profile=profile_sig,
-                ),
-            )
+            append_manifest(manifest_path, failure.to_manifest(job.spec))
 
     pending: deque[_Job] = deque(jobs)
     if max_workers is not None and max_workers <= 1:
@@ -532,7 +469,7 @@ def run_resilient(
         while pending:
             job = pending.popleft()
             try:
-                run = job_fn(*job_args(job))
+                run = job_fn(attempt_spec(job))
             except Exception as exc:
                 handle_failure(job, exc, pending)
             else:
@@ -549,7 +486,9 @@ def run_resilient(
             submitted: list[tuple[_Job, object]] = []
             for job in batch:
                 try:
-                    submitted.append((job, pool.submit(job_fn, *job_args(job))))
+                    submitted.append(
+                        (job, pool.submit(job_fn, attempt_spec(job)))
+                    )
                 except BrokenProcessPool as exc:
                     handle_failure(job, exc, pending)
             # Collect in submission order so manifests stay in job order

@@ -1,34 +1,55 @@
-"""Run (workload, machine config) pairs and collect cycle counts.
+"""Run (workload, machine config) points and collect cycle counts.
+
+One frozen :class:`RunSpec` names a point completely: the workload
+instance (workload, scale, input seed), how it is compiled (fabric, the
+full :class:`~repro.arch.params.ArchParams`, policy, parallelism,
+placement seed, profile-guided flag, per-node weights) and how it is
+simulated (the full :class:`~repro.exp.configs.MachineConfig` and the
+clock divider). :func:`execute` is the one make-workload -> compile ->
+simulate -> validate path; the CLI, the sweep workers and the FDO loop
+all call it.
+
+Every identity is derived, never assembled by hand:
+
+* the compile-cache key (:func:`compile_key`) is a digest of the kernel
+  IR, the fabric name, ``ArchParams`` without its ``sim`` block, policy,
+  parallelism, placement seed, the profiling inputs when profile-guided,
+  the node weights and :func:`repro.exp.cache.compiler_digest` (the
+  compiler's own sources) — so a compile under other timing constants,
+  another NoC model, another input seed of a sparse kernel or newer PnR
+  code can never be served a stale artifact;
+* the journal point identity and the snapshot file name are
+  :meth:`RunSpec.digest`: the whole spec minus the three output-location
+  fields (``checkpoint_path``, ``checkpoint_every``, ``trace_path``) that
+  :func:`repro.sim.snapshot.sim_config_digest` also nulls.
 
 Every simulated run is validated against the workload's reference output
 — a performance number from a run that computed the wrong answer would be
 meaningless.
 
 :func:`run_parallel` fans a (workload x config x seed) sweep out over a
-``ProcessPoolExecutor``; simulation and PnR are deterministic, so the
-parallel sweep is bit-identical to the serial one, and an on-disk compile
-cache (see :mod:`repro.exp.cache`) shares PnR results between workers.
-
-Both :func:`run_parallel` and :func:`run_workload_on_configs` run their
-jobs under the resilient sweep supervisor (:mod:`repro.exp.resilient`):
-pass a :class:`~repro.exp.resilient.SweepPolicy` to get per-job
-timeouts, retries with deterministic placement-seed perturbation, and
-typed failure records instead of a crashed sweep. The default policy is
-fail-fast ``abort`` — exactly the historical behavior.
+``ProcessPoolExecutor`` under the resilient sweep supervisor
+(:mod:`repro.exp.resilient`), which sends each worker the point's
+:class:`RunSpec`; simulation and PnR are deterministic, so the parallel
+sweep is bit-identical to the serial one, and an on-disk compile cache
+(see :mod:`repro.exp.cache`) shares PnR results between workers.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.arch.fabric import Fabric, build_fabric, monaco
+from repro.arch.fabric import Fabric, build_fabric
 from repro.arch.params import ArchParams
 from repro.core.policy import EFFCC, PlacementPolicy, get_policy
-from repro.exp.cache import GLOBAL_CACHE
-from repro.exp.configs import MachineConfig
-from repro.obs.manifest import append_manifest, build_manifest
+from repro.exp.cache import GLOBAL_CACHE, compiler_digest
+from repro.exp.configs import MONACO, MachineConfig
+from repro.ir.serialize import kernel_to_dict
+from repro.obs.manifest import canonical, config_digest
 from repro.pnr.flow import compile_kernel
 from repro.pnr.result import CompiledKernel
 from repro.sim.engine import simulate
@@ -46,12 +67,49 @@ FabricSpec = tuple[str, int, int]
 DEFAULT_FABRIC_SPEC: FabricSpec = ("monaco", 12, 12)
 
 
-def _fault_signature(arch: ArchParams) -> str | None:
-    """Stable fault-model signature for manifest/journal records."""
-    faults = arch.sim.faults
-    if faults is None or not faults.active():
-        return None
-    return faults.signature()
+@dataclass(frozen=True)
+class RunSpec:
+    """Every input of one compile -> simulate point."""
+
+    workload: str
+    scale: str = "small"
+    #: Input seed of the workload instance.
+    seed: int = 0
+    #: Placement seed when it differs from ``seed`` (the supervisor's PnR
+    #: retries perturb only this); None = ``seed``.
+    pnr_seed: int | None = None
+    fabric: FabricSpec = DEFAULT_FABRIC_SPEC
+    arch: ArchParams = ArchParams()
+    config: MachineConfig = MONACO
+    policy: str = EFFCC.name
+    #: Fixed parallelism degree; None = the automatic degree search.
+    parallelism: int | None = None
+    #: Refine class-B/C criticality by a profiling run on the instance's
+    #: own inputs before placement (:mod:`repro.core.profile`).
+    profile_guided: bool = False
+    #: Per-node placement-weight overrides (:mod:`repro.exp.fdo`).
+    node_weights: dict[int, float] | None = None
+    #: Fabric clock divider; None = the routed rule
+    #: ``max(PAPER_DIVIDER, routed divider)``.
+    divider: int | None = None
+
+    @property
+    def placement_seed(self) -> int:
+        return self.seed if self.pnr_seed is None else self.pnr_seed
+
+    def identity(self) -> dict:
+        """Canonical form of the spec minus where outputs are written."""
+        sim = replace(
+            self.arch.sim,
+            checkpoint_path=None,
+            checkpoint_every=0,
+            trace_path=None,
+        )
+        return canonical(replace(self, arch=replace(self.arch, sim=sim)))
+
+    def digest(self) -> str:
+        """The point's journal identity and snapshot file name."""
+        return config_digest(self.identity())
 
 
 @dataclass
@@ -95,14 +153,47 @@ class RunResult:
 
 def weight_map_digest(node_weights: dict[int, float]) -> str:
     """Stable 16-hex digest of a per-node weight override map."""
-    import hashlib
-    import json
-
     payload = json.dumps(
         {str(int(n)): float(w) for n, w in node_weights.items()},
         sort_keys=True,
     ).encode()
     return hashlib.sha256(payload).hexdigest()[:16]
+
+
+def compile_key(
+    instance: WorkloadInstance,
+    fabric: Fabric,
+    arch: ArchParams,
+    policy: PlacementPolicy,
+    parallelism: int | None,
+    seed: int,
+    profile_guided: bool = False,
+    node_weights: dict[int, float] | None = None,
+) -> str:
+    """The compile-cache key: a digest of every input of the compile.
+
+    ``arch.sim`` is left out because no simulation knob reaches place
+    and route (``tests/test_spec_keys.py`` proves it field by field).
+    """
+    arch_fields = canonical(arch)
+    del arch_fields["sim"]
+    payload = {
+        "compiler": compiler_digest(),
+        "kernel": kernel_to_dict(instance.kernel),
+        "fabric": fabric.name,
+        "arch": arch_fields,
+        "policy": policy.name,
+        "parallelism": parallelism,
+        "seed": seed,
+        "profile": (
+            canonical([instance.params, instance.arrays])
+            if profile_guided
+            else None
+        ),
+        "node_weights": canonical(node_weights or None),
+    }
+    blob = json.dumps(payload, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
 
 
 def compile_cached(
@@ -117,37 +208,18 @@ def compile_cached(
     profile_guided: bool = False,
     node_weights: dict[int, float] | None = None,
 ) -> CompiledKernel:
-    """Compile with the shared cache (PnR is deterministic given the key).
+    """Compile with the shared cache under :func:`compile_key`.
 
     ``incremental`` and ``portfolio_jobs`` only change *how fast* the
     same artifact is produced (bit-identical outputs, see
     :mod:`repro.pnr.flow`), so they are deliberately not part of the
-    cache key.
-
-    ``profile_guided`` refines class-B/C criticality by a profiling run
-    on the instance's own inputs; ``node_weights`` overrides per-node
-    placement weights outright (:mod:`repro.exp.fdo`). Both change the
-    compiled artifact, so both extend the cache key — a profile-guided
-    or weight-overridden compile can never alias the static entry (and
-    vice versa: the base key is unchanged when neither is set, so every
-    pre-existing cache entry and pinned digest stays reachable).
+    key. ``profile_guided`` profiles the instance's own inputs;
+    ``node_weights`` overrides per-node placement weights.
     """
-    key = (
-        instance.name,
-        instance.meta.get("table1"),
-        fabric.name,
-        arch.noc_tracks,
-        policy.name,
-        parallelism,
-        seed,
+    key = compile_key(
+        instance, fabric, arch, policy, parallelism, seed,
+        profile_guided, node_weights,
     )
-    if profile_guided:
-        # The profiling inputs ARE the instance (name/table1/seed are
-        # already in the key); the marker separates refined artifacts
-        # from static ones.
-        key = key + ("profile-guided",)
-    if node_weights:
-        key = key + ("node-weights", weight_map_digest(node_weights))
     profile = (instance.params, instance.arrays) if profile_guided else None
     return GLOBAL_CACHE.get_or_compile(
         key,
@@ -171,7 +243,7 @@ def run_config(
     compiled: CompiledKernel,
     config: MachineConfig,
     arch: ArchParams,
-    divider: int = PAPER_DIVIDER,
+    divider: int | None = PAPER_DIVIDER,
     obs=None,
     checkpoint=None,
     resume_from=None,
@@ -179,9 +251,13 @@ def run_config(
 ) -> RunResult:
     """Simulate one (compiled workload, machine config) pair and validate.
 
+    ``divider=None`` applies the routed rule: the paper's divider, or
+    slower when the routed design's timing needs it.
     ``checkpoint``/``resume_from``/``resume_policy`` pass through to
     :func:`repro.sim.engine.simulate` (see :mod:`repro.sim.snapshot`).
     """
+    if divider is None:
+        divider = max(PAPER_DIVIDER, compiled.timing.clock_divider)
     start = time.perf_counter()
     result = simulate(
         compiled,
@@ -211,181 +287,81 @@ def run_config(
     )
 
 
-def run_workload_on_configs(
-    name: str,
-    configs: list[MachineConfig],
-    scale: str = "small",
-    seed: int = 0,
-    arch: ArchParams | None = None,
-    fabric: Fabric | None = None,
-    policy: PlacementPolicy = EFFCC,
-    divider: int = PAPER_DIVIDER,
-    manifest_path: str | os.PathLike | None = None,
-    sweep_policy=None,
-    failures: list | None = None,
-    profile_guided: bool = False,
-) -> dict[str, RunResult]:
-    """Compile once, then simulate under each interconnect config.
+def execute(
+    spec: RunSpec,
+    *,
+    instance: WorkloadInstance | None = None,
+    incremental: bool = True,
+    portfolio_jobs: int = 1,
+    checkpoint=None,
+    resume_from=None,
+    resume_policy: str = "strict",
+) -> tuple[CompiledKernel, RunResult]:
+    """Build, compile (through the cache), simulate and validate ``spec``.
 
-    ``manifest_path`` appends one JSONL record per config (the serial
-    twin of :func:`run_parallel`'s manifest emission).
-
-    ``sweep_policy`` (a :class:`repro.exp.resilient.SweepPolicy`) puts
-    each config's run under supervision: with ``on_failure`` other than
-    ``"abort"``, failing configs are recorded as
-    :class:`~repro.exp.resilient.FailureRecord` s (appended to the
-    ``failures`` list when given, and journaled to the manifest) while
-    the healthy configs still return.
-
-    ``profile_guided`` refines criticality classes by a profiling run on
-    the instance's own inputs before placement (see
-    :mod:`repro.core.profile`); the manifest identity gains a
-    ``profile: "guided"`` marker and each record carries the
-    refinement's ``profile_report``.
+    ``instance`` reuses an already built workload instance of the spec's
+    (workload, scale, seed). ``incremental``/``portfolio_jobs`` only
+    change compile speed; the checkpoint/resume arguments pass through
+    to :func:`run_config`.
     """
-    from repro.exp.resilient import (
-        ABORT,
-        PNR_KINDS,
-        PNR_SEED_STRIDE,
-        FailureRecord,
-        call_with_timeout,
-        classify_failure,
-    )
-
-    arch = arch or ArchParams()
-    fabric = fabric or monaco(12, 12)
-    sweep_policy = sweep_policy or ABORT
-    faults_sig = _fault_signature(arch)
-    profile_sig = "guided" if profile_guided else None
-    fabric_spec = (fabric.name, fabric.rows, fabric.cols)
-    instance = make_workload(name, scale=scale, seed=seed)
-    results: dict[str, RunResult] = {}
-
-    def emit(run: RunResult) -> None:
-        if manifest_path is not None:
-            append_manifest(
-                manifest_path,
-                build_manifest(
-                    run,
-                    scale=scale,
-                    seed=seed,
-                    divider=divider,
-                    fabric_spec=fabric_spec,
-                    policy=policy.name,
-                    faults=faults_sig,
-                    profile=profile_sig,
-                ),
-            )
-
-    def one_config(config: MachineConfig, pnr_seed: int | None) -> RunResult:
-        compiled = compile_cached(
-            instance,
-            fabric,
-            arch,
-            policy=policy,
-            seed=seed if pnr_seed is None else pnr_seed,
-            profile_guided=profile_guided,
+    if instance is None:
+        instance = make_workload(
+            spec.workload, scale=spec.scale, seed=spec.seed
         )
-        run = run_config(instance, compiled, config, arch, divider)
-        run.pnr_seed = pnr_seed
-        run.profile = compiled.meta.get("profile")
-        return run
-
-    for config in configs:
-        attempts = 0
-        pnr_seed: int | None = None
-        pnr_seeds: list[int] = []
-        while True:
-            try:
-                run = call_with_timeout(
-                    sweep_policy.job_timeout_s,
-                    lambda: one_config(config, pnr_seed),
-                    label=f"{name}/{config.name}/seed{seed}",
-                )
-            except Exception as exc:
-                kind = classify_failure(exc)
-                attempts += 1
-                if sweep_policy.on_failure == "abort":
-                    raise
-                if sweep_policy.wants_retry(kind, attempts):
-                    if kind in PNR_KINDS:
-                        pnr_seed = seed + PNR_SEED_STRIDE * attempts
-                        pnr_seeds.append(pnr_seed)
-                    if sweep_policy.backoff_s:
-                        time.sleep(
-                            sweep_policy.backoff_s * (2 ** (attempts - 1))
-                        )
-                    continue
-                failure = FailureRecord(
-                    workload=name,
-                    config=config.name,
-                    seed=seed,
-                    kind=kind,
-                    message=str(exc),
-                    attempts=attempts,
-                    pnr_seeds=tuple(pnr_seeds),
-                )
-                if failures is not None:
-                    failures.append(failure)
-                if manifest_path is not None:
-                    append_manifest(
-                        manifest_path,
-                        failure.to_manifest(
-                            scale=scale,
-                            divider=divider,
-                            fabric_spec=fabric_spec,
-                            policy=policy.name,
-                            faults=faults_sig,
-                            profile=profile_sig,
-                        ),
-                    )
-                break
-            else:
-                results[config.name] = run
-                emit(run)
-                break
-    return results
+    compiled = compile_cached(
+        instance,
+        build_fabric(*spec.fabric),
+        spec.arch,
+        policy=get_policy(spec.policy),
+        parallelism=spec.parallelism,
+        seed=spec.placement_seed,
+        incremental=incremental,
+        portfolio_jobs=portfolio_jobs,
+        profile_guided=spec.profile_guided,
+        node_weights=spec.node_weights,
+    )
+    run = run_config(
+        instance,
+        compiled,
+        spec.config,
+        spec.arch,
+        spec.divider,
+        checkpoint=checkpoint,
+        resume_from=resume_from,
+        resume_policy=resume_policy,
+    )
+    run.pnr_seed = spec.pnr_seed
+    run.profile = compiled.meta.get("profile")
+    return compiled, run
 
 
 # -- parallel sweep ---------------------------------------------------------
 
 
 def _run_sweep_job(
-    name: str,
-    config: MachineConfig,
-    scale: str,
-    seed: int,
-    arch: ArchParams,
-    divider: int,
-    policy_name: str,
-    fabric_spec: FabricSpec,
-    cache_dir: str | None,
-    pnr_seed: int | None = None,
-    timeout_s: float | None = None,
-    snapshot: dict | None = None,
-    profile_guided: bool = False,
+    spec: RunSpec,
+    cache_dir: str | None = None,
+    sweep_policy=None,
+    journal: str | None = None,
 ) -> RunResult:
-    """One (workload, config, seed) point; runs inside a worker process.
+    """One sweep point; runs inside a worker process.
 
-    ``pnr_seed`` overrides the *placement* seed only (the supervisor's
-    deterministic perturbation on PnR retry); the workload's input seed
-    is always ``seed``. ``timeout_s`` arms a ``SIGALRM`` wall-clock
-    budget around compile+simulate (see
+    ``cache_dir`` attaches the shared on-disk compile cache. The
+    policy's ``job_timeout_s`` arms a ``SIGALRM`` wall-clock budget
+    around compile+simulate (see
     :func:`repro.exp.resilient.call_with_timeout`).
 
-    ``profile_guided`` compiles with profile-refined criticality classes
-    (the profiling input is the point's own workload instance).
-
-    ``snapshot`` (``{"dir", "every", "cycle_budget", "grace_s",
-    "journal"}``, supplied by the supervisor when a ``snapshot_dir`` is
-    set) arms mid-simulation checkpointing: the snapshot path is derived
-    from the point's identity digest, any valid snapshot already there
-    is resumed (invalid ones are discarded), SIGTERM/SIGINT and timeout
-    expiry snapshot-then-raise instead of killing the attempt cold, and
-    snapshot writes are journaled to the sweep manifest.
+    A ``spec.arch.sim.checkpoint_path`` (the supervisor sets
+    ``<snapshot_dir>/<point digest>.snap`` when the sweep has a
+    snapshot directory) arms mid-simulation checkpointing: any valid
+    snapshot already there is resumed (invalid ones are discarded),
+    SIGTERM/SIGINT and timeout expiry snapshot-then-raise instead of
+    killing the attempt cold, the policy's ``job_cycle_budget`` bounds
+    each attempt, and snapshot writes are journaled to ``journal``.
     """
-    from repro.exp.resilient import call_with_timeout
+    from repro.exp.resilient import ABORT, call_with_timeout
 
+    sweep_policy = sweep_policy or ABORT
     if cache_dir is not None and (
         GLOBAL_CACHE.disk_dir is None
         or str(GLOBAL_CACHE.disk_dir) != cache_dir
@@ -395,78 +371,41 @@ def _run_sweep_job(
         # cache directory.
         GLOBAL_CACHE.enable_disk(cache_dir)
 
-    watchdog = None
-    grace_s = 5.0
-    if snapshot is not None:
-        from repro.sim.snapshot import Watchdog
+    path = spec.arch.sim.checkpoint_path
+    watchdog = checkpoint = None
+    if path is not None:
+        from repro.sim.snapshot import CheckpointConfig, Watchdog
 
         watchdog = Watchdog()
-        grace_s = snapshot.get("grace_s", 5.0)
+        checkpoint = CheckpointConfig(
+            path=path,
+            every_cycles=spec.arch.sim.checkpoint_every,
+            cycle_budget=sweep_policy.job_cycle_budget,
+            install_signals=True,
+            watchdog=watchdog,
+            journal_path=journal,
+            # The file is named by the point digest.
+            journal_fields={
+                "point_digest": os.path.splitext(os.path.basename(path))[0]
+            },
+        )
 
     def job() -> RunResult:
-        policy = get_policy(policy_name)
-        fabric = build_fabric(*fabric_spec)
-        instance = make_workload(name, scale=scale, seed=seed)
-        compiled = compile_cached(
-            instance,
-            fabric,
-            arch,
-            policy=policy,
-            seed=seed if pnr_seed is None else pnr_seed,
-            profile_guided=profile_guided,
-        )
-        checkpoint = resume_from = None
-        resume_policy = "strict"
-        if snapshot is not None:
-            from repro.obs.manifest import config_digest, point_fields
-            from repro.sim.snapshot import CheckpointConfig
-
-            identity = point_fields(
-                workload=name,
-                config=config.name,
-                scale=scale,
-                seed=seed,
-                divider=divider,
-                fabric=fabric_spec,
-                policy=policy_name,
-                faults=_fault_signature(arch),
-                profile="guided" if profile_guided else None,
-            )
-            digest = config_digest(identity)
-            path = os.path.join(snapshot["dir"], f"{digest}.snap")
-            checkpoint = CheckpointConfig(
-                path=path,
-                every_cycles=snapshot.get("every", 0) or 0,
-                cycle_budget=snapshot.get("cycle_budget"),
-                install_signals=True,
-                watchdog=watchdog,
-                journal_path=snapshot.get("journal"),
-                journal_fields={"point_digest": digest, **identity},
-            )
-            # A retried attempt continues from its predecessor's
-            # snapshot; torn/stale files are discarded, never fatal.
-            resume_from = path
-            resume_policy = "discard"
-        run = run_config(
-            instance,
-            compiled,
-            config,
-            arch,
-            divider,
+        # A retried attempt continues from its predecessor's snapshot;
+        # torn/stale files are discarded, never fatal.
+        return execute(
+            spec,
             checkpoint=checkpoint,
-            resume_from=resume_from,
-            resume_policy=resume_policy,
-        )
-        run.pnr_seed = pnr_seed
-        run.profile = compiled.meta.get("profile")
-        return run
+            resume_from=path,
+            resume_policy="discard",
+        )[1]
 
     return call_with_timeout(
-        timeout_s,
+        sweep_policy.job_timeout_s,
         job,
-        label=f"{name}/{config.name}/seed{seed}",
+        label=f"{spec.workload}/{spec.config.name}/seed{spec.seed}",
         watchdog=watchdog,
-        grace_s=grace_s,
+        grace_s=sweep_policy.grace_s,
     )
 
 
@@ -477,7 +416,7 @@ def run_parallel(
     seeds: tuple[int, ...] = (0,),
     arch: ArchParams | None = None,
     policy: PlacementPolicy = EFFCC,
-    divider: int = PAPER_DIVIDER,
+    divider: int | None = PAPER_DIVIDER,
     fabric_spec: FabricSpec = DEFAULT_FABRIC_SPEC,
     max_workers: int | None = None,
     cache_dir: str | os.PathLike | None = None,

@@ -10,19 +10,21 @@ parallel, any ``--jobs`` — differ only in ``wall_time_s`` and
 
 The manifest doubles as the resilient sweep's checkpoint journal
 (see :mod:`repro.exp.resilient`): every record carries a ``status``
-(``"ok"`` / ``"failed"``) and a ``point_digest`` — a stable digest of the
-*pre-run* point configuration (workload, config, scale, seed, divider,
-fabric, policy, fault signature; everything except run outputs). On
+(``"ok"`` / ``"failed"``), the point's ``spec`` — the canonical form of
+its :class:`~repro.exp.runner.RunSpec`, everything known before the run
+— and a ``point_digest`` of that spec (:meth:`RunSpec.digest`). On
 ``sweep --resume`` a point is skipped only when the journal holds an
 ``ok`` record whose stored digest both matches the digest recomputed
-from the record's own fields (integrity: a hand-edited or truncated
+from the record's own ``spec`` (integrity: a hand-edited or truncated
 journal entry is ignored) and equals the digest of the point about to
 run (staleness: a journal written under any other sweep configuration —
-different scale, policy, fabric, fault model — can never poison a run).
+different scale, arch knob, machine config, fault model — can never
+poison a run).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -31,7 +33,8 @@ import time
 
 #: Manifest schema version; bump on incompatible layout changes.
 #: v2: ``status``, ``point_digest`` and ``faults`` fields (resume journal).
-MANIFEST_SCHEMA = 2
+#: v3: the identity is the whole canonical ``spec`` (no flat fields).
+MANIFEST_SCHEMA = 3
 
 #: Keys that legitimately differ between two runs of the same point.
 #: ``pnr`` is compile-time telemetry (moves/s, per-phase wall times) —
@@ -59,56 +62,29 @@ def git_rev() -> str:
     return rev if out.returncode == 0 and rev else "unknown"
 
 
+def canonical(value):
+    """``value`` as plain JSON data: dataclasses become field dicts
+    (recursively), tuples lists, mapping keys strings. Identities are
+    digests of this form, so a field added to any dataclass joins every
+    identity that embeds it without further code."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            f.name: canonical(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
+    if isinstance(value, dict):
+        return {str(k): canonical(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [canonical(v) for v in value]
+    return value
+
+
 def config_digest(fields: dict) -> str:
     """Stable short digest of the run configuration."""
     payload = json.dumps(
         {"schema": MANIFEST_SCHEMA, **fields}, sort_keys=True
     ).encode()
     return hashlib.sha256(payload).hexdigest()[:16]
-
-
-def point_fields(
-    *,
-    workload: str,
-    config: str,
-    scale: str,
-    seed: int,
-    divider: int,
-    fabric=None,
-    policy: str | None = None,
-    faults: str | None = None,
-    profile: str | None = None,
-) -> dict:
-    """The *pre-run* identity of one sweep point.
-
-    Everything here is known before the point executes (unlike e.g. the
-    PnR-chosen parallelism), so the resume journal can match records
-    against points it has not run yet.
-
-    ``profile`` marks profile-guided compilation (``"guided"``); the
-    profiling inputs themselves are the point's own workload/scale/seed,
-    already in the identity. The key is included only when set, so every
-    digest of a non-profiled point — including all pre-existing resume
-    journals — is unchanged.
-    """
-    fields = {
-        "workload": workload,
-        "config": config,
-        "scale": scale,
-        "seed": seed,
-        "divider": divider,
-        "fabric": list(fabric) if fabric else None,
-        "policy": policy,
-        "faults": faults,
-    }
-    if profile is not None:
-        fields["profile"] = profile
-    return fields
-
-
-def point_digest(**fields) -> str:
-    """Stable digest of one sweep point's pre-run identity."""
-    return config_digest(point_fields(**fields))
 
 
 def _energy_block(stats) -> dict:
@@ -123,38 +99,20 @@ def _energy_block(stats) -> dict:
     return estimate_energy(stats).to_dict()
 
 
-def build_manifest(
-    run,
-    *,
-    scale: str,
-    seed: int,
-    divider: int,
-    fabric_spec=None,
-    policy: str | None = None,
-    faults: str | None = None,
-    profile: str | None = None,
-    extra: dict | None = None,
-) -> dict:
-    """One manifest record for a :class:`~repro.exp.runner.RunResult`."""
-    identity = point_fields(
-        workload=run.workload,
-        config=run.config,
-        scale=scale,
-        seed=seed,
-        divider=divider,
-        fabric=fabric_spec,
-        policy=policy,
-        faults=faults,
-        profile=profile,
-    )
-    config_fields = {**identity, "parallelism": run.parallelism}
+def build_manifest(spec, run) -> dict:
+    """One manifest record for a :class:`~repro.exp.runner.RunResult`
+    of the point ``spec`` (a :class:`~repro.exp.runner.RunSpec`)."""
+    identity = spec.identity()
     pnr_seed = getattr(run, "pnr_seed", None)
     record = {
         "schema": MANIFEST_SCHEMA,
         "status": "ok",
-        "digest": config_digest(config_fields),
+        "digest": config_digest(
+            {**identity, "parallelism": run.parallelism}
+        ),
         "point_digest": config_digest(identity),
-        **config_fields,
+        "spec": identity,
+        "parallelism": run.parallelism,
         "git_rev": git_rev(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "wall_time_s": round(getattr(run, "wall_time", 0.0), 6),
@@ -162,7 +120,7 @@ def build_manifest(
         "stats": run.stats.to_dict(),
         "energy": _energy_block(run.stats),
     }
-    if pnr_seed is not None and pnr_seed != seed:
+    if pnr_seed is not None and pnr_seed != spec.placement_seed:
         # The supervisor retried PnR under a perturbed placement seed;
         # journal it so the result stays reproducible from the record.
         record["pnr_seed"] = pnr_seed
@@ -174,7 +132,7 @@ def build_manifest(
         # Outcome of the profile-guided refinement pass — deterministic
         # (promoted/demoted node ids, degeneracy note), so it lives in
         # the *stable* view; the pre-run identity above carries only the
-        # ``profile`` marker.
+        # ``profile_guided`` flag.
         record["profile_report"] = dict(profile_report)
     resume_info = getattr(run, "resume_info", None)
     if resume_info is not None:
@@ -182,8 +140,6 @@ def build_manifest(
         # stats above are still bit-identical to an uninterrupted run
         # (``resume`` is volatile, see VOLATILE_KEYS).
         record["resume"] = dict(resume_info)
-    if extra:
-        record.update(extra)
     return record
 
 
@@ -206,23 +162,8 @@ def completed_points(path) -> set[str]:
         if record.get("status", "ok") != "ok":
             continue
         stored = record.get("point_digest")
-        if not stored:
-            continue
-        try:
-            recomputed = point_digest(
-                workload=record["workload"],
-                config=record["config"],
-                scale=record["scale"],
-                seed=record["seed"],
-                divider=record["divider"],
-                fabric=record.get("fabric"),
-                policy=record.get("policy"),
-                faults=record.get("faults"),
-                profile=record.get("profile"),
-            )
-        except KeyError:
-            continue
-        if stored == recomputed:
+        spec = record.get("spec")
+        if stored and isinstance(spec, dict) and stored == config_digest(spec):
             done.add(stored)
     return done
 

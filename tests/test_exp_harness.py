@@ -13,7 +13,7 @@ from repro.exp.configs import (
 )
 from repro.exp.figures import FigureResult, fig6c, fig12, fig14, fig16, fig17
 from repro.exp.report import format_figure
-from repro.exp.runner import run_workload_on_configs
+from repro.exp.runner import run_parallel
 from repro.exp.tables import PAPER_TABLE1, format_table1, table1
 
 
@@ -60,11 +60,11 @@ class TestCache:
 
 
 class TestRunner:
-    def test_run_workload_on_configs(self):
-        runs = run_workload_on_configs(
-            "spmspv", [ideal(), MONACO], scale="tiny"
+    def test_run_parallel_in_process(self):
+        runs = run_parallel(
+            ["spmspv"], [ideal(), MONACO], scale="tiny", max_workers=1
         )
-        assert set(runs) == {"ideal", "monaco"}
+        assert set(runs) == {("spmspv", "ideal", 0), ("spmspv", "monaco", 0)}
         for run in runs.values():
             assert run.cycles > 0
             assert run.workload == "spmspv"
@@ -130,7 +130,7 @@ class TestReporting:
 
 def test_arch_params_plumbed_through():
     arch = ArchParams(noc_tracks=5)
-    runs = run_workload_on_configs(
-        "dmv", [MONACO], scale="tiny", arch=arch
+    runs = run_parallel(
+        ["dmv"], [MONACO], scale="tiny", arch=arch, max_workers=1
     )
-    assert runs["monaco"].cycles > 0
+    assert runs[("dmv", "monaco", 0)].cycles > 0

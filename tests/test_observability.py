@@ -20,7 +20,7 @@ import pytest
 from repro.arch.fabric import monaco
 from repro.arch.params import ArchParams, SimParams
 from repro.exp.configs import MONACO, numa, upea
-from repro.exp.runner import run_config, run_parallel, run_workload_on_configs
+from repro.exp.runner import run_config, run_parallel
 from repro.obs.events import FIRE, STALL_KINDS, TICK_KINDS, EventBus
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
@@ -184,14 +184,17 @@ class TestChromeTraceSchema:
 class TestManifests:
     def test_serial_manifest_records(self, tmp_path):
         path = tmp_path / "manifest.jsonl"
-        run_workload_on_configs(
-            WORKLOAD, [upea(2), MONACO], scale=SCALE, manifest_path=path
+        run_parallel(
+            [WORKLOAD], [upea(2), MONACO], scale=SCALE, max_workers=1,
+            manifest_path=path,
         )
         records = read_manifest(path)
-        assert [r["config"] for r in records] == ["upea2", "monaco"]
+        assert [r["spec"]["config"]["name"] for r in records] == [
+            "upea2", "monaco"
+        ]
         for record in records:
             assert record["schema"] == MANIFEST_SCHEMA
-            assert record["workload"] == WORKLOAD
+            assert record["spec"]["workload"] == WORKLOAD
             assert record["cycles"] > 0
             assert len(record["digest"]) == 16
             assert record["wall_time_s"] >= 0.0
@@ -289,8 +292,9 @@ class TestNumaAndEnergyReporting:
         first = tmp_path / "first.jsonl"
         second = tmp_path / "second.jsonl"
         for path in (first, second):
-            run_workload_on_configs(
-                WORKLOAD, [upea(2), MONACO], scale=SCALE, manifest_path=path
+            run_parallel(
+                [WORKLOAD], [upea(2), MONACO], scale=SCALE, max_workers=1,
+                manifest_path=path,
             )
         records = read_manifest(first)
         for record in records:

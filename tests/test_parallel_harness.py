@@ -16,13 +16,15 @@ import pytest
 from repro.arch.fabric import monaco
 from repro.arch.params import ArchParams
 from repro.core.policy import EFFCC
-from repro.exp.cache import CACHE_SCHEMA_VERSION, CompileCache
+from repro.exp.cache import CompileCache
 from repro.exp.configs import MONACO, upea
 from repro.exp.runner import (
     PAPER_DIVIDER,
+    RunSpec,
+    compile_key,
+    execute,
     run_config,
     run_parallel,
-    run_workload_on_configs,
 )
 from repro.pnr.flow import compile_once
 from repro.sim.engine import simulate
@@ -34,15 +36,16 @@ SEEDS = (0, 1)
 
 
 def serial_reference():
-    """The ground truth: each point run by the plain serial helpers."""
+    """The ground truth: each point run directly through ``execute``,
+    outside the sweep supervisor."""
     reference = {}
     for seed in SEEDS:
         for name in WORKLOADS:
-            runs = run_workload_on_configs(
-                name, CONFIGS, scale="tiny", seed=seed
-            )
-            for config_name, run in runs.items():
-                reference[(name, config_name, seed)] = run
+            for config in CONFIGS:
+                spec = RunSpec(
+                    name, "tiny", seed, config=config, divider=PAPER_DIVIDER
+                )
+                reference[(name, config.name, seed)] = execute(spec)[1]
     return reference
 
 
@@ -140,19 +143,24 @@ class TestDiskCache:
         )
         assert reader.disk_hits == 1
 
-    def test_schema_version_partitions_keys(self, tmp_path, monkeypatch):
-        cache = CompileCache(tmp_path)
-        path = cache._path_for(self.KEY)
-        other = CompileCache(tmp_path)
-        assert other._path_for(self.KEY) == path  # deterministic digest
-        assert cache._path_for(self.KEY + ("x",)) != path
-        # Bumping the schema version makes every old entry unreachable.
-        from repro.exp import cache as cache_mod
+    def test_compiler_digest_partitions_keys(self, tmp_path, monkeypatch):
+        from repro.exp import runner
 
-        monkeypatch.setattr(
-            cache_mod, "CACHE_SCHEMA_VERSION", CACHE_SCHEMA_VERSION + 1
-        )
-        assert cache._path_for(self.KEY) != path
+        instance = make_workload("spmspv", scale="tiny")
+
+        def key():
+            return compile_key(
+                instance, monaco(12, 12), ArchParams(), EFFCC, None, 0
+            )
+
+        cache = CompileCache(tmp_path)
+        path = cache._path_for(key())
+        other = CompileCache(tmp_path)
+        assert other._path_for(key()) == path  # deterministic digest
+        assert cache._path_for(key() + "x") != path
+        # Changed compiler sources make every old entry unreachable.
+        monkeypatch.setattr(runner, "compiler_digest", lambda: "edited")
+        assert cache._path_for(key()) != path
 
     def test_disable_disk(self, tmp_path):
         cache = CompileCache(tmp_path)
@@ -254,8 +262,8 @@ def test_sweep_job_attaches_requested_cache_dir(tmp_path, monkeypatch):
     wanted = tmp_path / "wanted"
     GLOBAL_CACHE.enable_disk(stale)
     run = _run_sweep_job(
-        "spmspv", MONACO, "tiny", 0, ArchParams(), PAPER_DIVIDER,
-        EFFCC.name, ("monaco", 12, 12), str(wanted),
+        RunSpec("spmspv", "tiny", divider=PAPER_DIVIDER),
+        cache_dir=str(wanted),
     )
     assert run.cycles > 0
     assert str(GLOBAL_CACHE.disk_dir) == str(wanted)

@@ -9,6 +9,8 @@ exactly the points a validated journal proves complete.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import os
 import time
@@ -32,13 +34,12 @@ from repro.errors import (
 from repro.exp.configs import MONACO, upea
 from repro.exp.resilient import (
     PNR_SEED_STRIDE,
-    FailureRecord,
     SweepPolicy,
     call_with_timeout,
     classify_failure,
     run_resilient,
 )
-from repro.exp.runner import _run_sweep_job, run_workload_on_configs
+from repro.exp.runner import RunSpec, _run_sweep_job
 from repro.obs.manifest import completed_points, read_manifest
 
 CONFIGS = [MONACO, upea(2)]
@@ -132,55 +133,37 @@ def test_call_with_timeout_passthrough_when_unlimited():
 
 
 # -- supervised sweeps over fake jobs ---------------------------------------
-# job_fn doubles must be module-level (pickled into pool workers) and
-# match _run_sweep_job's signature.
+# job_fn doubles must be module-level (pickled into pool workers) and take
+# the one RunSpec the supervisor sends.
 
 
-def _ok_job(
-    name, config, scale, seed, arch, divider, policy_name, fabric_spec,
-    cache_dir, pnr_seed=None, timeout_s=None,
-):
-    return (name, config.name, seed, pnr_seed)
+def _point(spec):
+    return (spec.workload, spec.config.name, spec.seed, spec.pnr_seed)
 
 
-def _fail_one_job(
-    name, config, scale, seed, arch, divider, policy_name, fabric_spec,
-    cache_dir, pnr_seed=None, timeout_s=None,
-):
-    if name == "dmv" and config.name == "upea2":
+def _ok_job(spec):
+    return _point(spec)
+
+
+def _fail_one_job(spec):
+    if spec.workload == "dmv" and spec.config.name == "upea2":
         raise SimulationError("injected mid-sweep failure")
-    return (name, config.name, seed, pnr_seed)
+    return _point(spec)
 
 
-def _routing_until_perturbed_job(
-    name, config, scale, seed, arch, divider, policy_name, fabric_spec,
-    cache_dir, pnr_seed=None, timeout_s=None,
-):
-    if pnr_seed is None:
+def _routing_until_perturbed_job(spec):
+    if spec.pnr_seed is None:
         raise RoutingError("congested under the original placement seed")
-    return (name, config.name, seed, pnr_seed)
+    return _point(spec)
 
 
-def _sleepy_job(
-    name, config, scale, seed, arch, divider, policy_name, fabric_spec,
-    cache_dir, pnr_seed=None, timeout_s=None,
-):
-    def body():
-        time.sleep(10)
-
-    return call_with_timeout(timeout_s, body, label=f"{name}/{config.name}")
-
-
-def _die_once_job(
-    name, config, scale, seed, arch, divider, policy_name, fabric_spec,
-    cache_dir, pnr_seed=None, timeout_s=None,
-):
-    if name == "spmv" and config.name == "monaco":
-        marker = Path(cache_dir) / "died-once"
+def _die_once_job(spec, marker):
+    if spec.workload == "spmv" and spec.config.name == "monaco":
+        marker = Path(marker)
         if not marker.exists():
             marker.write_text("x")
             os._exit(1)  # worker death -> BrokenProcessPool in the parent
-    return (name, config.name, seed, pnr_seed)
+    return _point(spec)
 
 
 def test_skip_policy_returns_healthy_results_serial_and_pool():
@@ -254,15 +237,21 @@ def test_abort_policy_reraises_first_failure():
         )
 
 
-def test_job_timeout_is_classified_and_bounded():
+def test_job_timeout_is_classified_and_bounded(tmp_path, monkeypatch):
+    # A cold compile cache: the real job's first compile alone outlasts
+    # the budget, so the policy's timeout must reach the worker.
+    from repro.exp import runner
+    from repro.exp.cache import CompileCache
+
+    monkeypatch.setattr(runner, "GLOBAL_CACHE", CompileCache())
     before = time.perf_counter()
     outcome = run_resilient(
         ["spmspv"],
         [MONACO],
         scale="tiny",
         max_workers=1,
-        sweep_policy=SweepPolicy(job_timeout_s=0.2, on_failure="skip"),
-        job_fn=_sleepy_job,
+        cache_dir=tmp_path / "cache",
+        sweep_policy=SweepPolicy(job_timeout_s=0.01, on_failure="skip"),
     )
     assert time.perf_counter() - before < 8.0
     (failure,) = outcome.failures
@@ -275,9 +264,10 @@ def test_worker_death_is_retried_with_a_fresh_pool(tmp_path):
         [MONACO],
         scale="tiny",
         max_workers=2,
-        cache_dir=tmp_path,  # doubles as the death-marker scratch dir
         sweep_policy=SweepPolicy(on_failure="retry", max_retries=3),
-        job_fn=_die_once_job,
+        job_fn=functools.partial(
+            _die_once_job, marker=str(tmp_path / "died-once")
+        ),
     )
     assert outcome.ok, [f.describe() for f in outcome.failures]
     assert set(outcome.results) == {
@@ -290,11 +280,10 @@ def test_worker_death_is_retried_with_a_fresh_pool(tmp_path):
 # -- real-simulator equivalence with a mid-sweep failure --------------------
 
 
-def _real_but_one_fails_job(*args, **kwargs):
-    name, config = args[0], args[1]
-    if name == "dmv" and config.name == "upea2":
+def _real_but_one_fails_job(spec):
+    if spec.workload == "dmv" and spec.config.name == "upea2":
         raise DeadlockError("injected mid-sweep failure")
-    return _run_sweep_job(*args, **kwargs)
+    return _run_sweep_job(spec)
 
 
 def test_serial_vs_parallel_identical_around_a_failure(tmp_path):
@@ -412,7 +401,7 @@ def test_resume_ignores_tampered_journal_records(tmp_path):
         cache_dir=tmp_path / "cache", manifest_path=manifest,
     )
     (record,) = read_manifest(manifest)
-    record["seed"] = 99  # hand-edit without recomputing the digest
+    record["spec"]["seed"] = 99  # hand-edit without recomputing the digest
     manifest.write_text(json.dumps(record, sort_keys=True) + "\n")
     assert completed_points(manifest) == set()
 
@@ -424,17 +413,17 @@ def test_resume_survives_a_torn_final_line(tmp_path):
         cache_dir=tmp_path / "cache", manifest_path=manifest,
     )
     with open(manifest, "a") as handle:
-        handle.write('{"schema": 2, "status": "ok", "trunca')  # killed mid-append
+        handle.write('{"schema": 3, "status": "ok", "trunca')  # killed mid-append
     assert len(completed_points(manifest)) == 1
     with pytest.raises(json.JSONDecodeError):
         read_manifest(manifest, strict=True)
 
 
-# -- run_workload_on_configs supervision ------------------------------------
+# -- serial supervision ----------------------------------------------------
 
 
-def test_run_workload_on_configs_supervised(tmp_path):
-    """The serial helper honors the same policy surface as the sweep."""
+def test_serial_sweep_supervised(tmp_path):
+    """The in-process sweep honors the same policy surface as the pool."""
     from dataclasses import replace
 
     from repro.arch.params import ArchParams, FaultParams
@@ -443,58 +432,46 @@ def test_run_workload_on_configs_supervised(tmp_path):
     arch = replace(
         arch, sim=replace(arch.sim, faults=FaultParams(mem_drop_prob=1.0))
     )
-    failures: list[FailureRecord] = []
     manifest = tmp_path / "man.jsonl"
-    results = run_workload_on_configs(
-        "spmspv",
+    outcome = run_resilient(
+        ["spmspv"],
         CONFIGS,
         scale="tiny",
         arch=arch,
+        max_workers=1,
         manifest_path=manifest,
         sweep_policy=SweepPolicy(on_failure="skip"),
-        failures=failures,
     )
-    assert results == {}
-    assert [f.kind for f in failures] == ["deadlock", "deadlock"]
+    assert outcome.results == {}
+    assert [f.kind for f in outcome.failures] == ["deadlock", "deadlock"]
     records = read_manifest(manifest)
     assert all(r["status"] == "failed" for r in records)
-    assert all(r["faults"] == "seed=0,mem-drop=1.0" for r in records)
+    assert all(
+        r["spec"]["arch"]["sim"]["faults"]
+        == dataclasses.asdict(FaultParams(mem_drop_prob=1.0))
+        for r in records
+    )
 
 
 # -- profile-guided sweeps ---------------------------------------------------
-# The job_args protocol appends trailing arguments only when a feature is
-# on, so historical 11-arg job_fn doubles (everything above) keep working.
 
 
-def _record_args_job(*args):
-    return args
+def _spec_job(spec):
+    return spec
 
 
-def test_job_args_protocol_is_stable_without_profile_guided():
+def test_job_receives_profile_guided_spec():
     outcome = run_resilient(
         ["spmspv"],
         [MONACO],
         scale="tiny",
         max_workers=1,
-        job_fn=_record_args_job,
-    )
-    (args,) = outcome.results.values()
-    assert len(args) == 11  # the historical signature, nothing appended
-
-
-def test_profile_guided_appends_trailing_job_args():
-    outcome = run_resilient(
-        ["spmspv"],
-        [MONACO],
-        scale="tiny",
-        max_workers=1,
-        job_fn=_record_args_job,
+        job_fn=_spec_job,
         profile_guided=True,
     )
-    (args,) = outcome.results.values()
-    assert len(args) == 13
-    assert args[11] is None  # snapshot placeholder keeps positions fixed
-    assert args[12] is True  # the profile_guided flag itself
+    (spec,) = outcome.results.values()
+    assert isinstance(spec, RunSpec)
+    assert spec.profile_guided is True
 
 
 def test_profile_guided_sweep_journals_profile(tmp_path):
@@ -514,7 +491,7 @@ def test_profile_guided_sweep_journals_profile(tmp_path):
     assert run.profile is not None
     assert set(run.profile) >= {"promoted", "demoted", "degenerate"}
     (record,) = read_manifest(manifest)
-    assert record["profile"] == "guided"
+    assert record["spec"]["profile_guided"] is True
     assert record["profile_report"] == dict(run.profile)
     # The journal proves the point complete under the *guided* digest...
     resumed = run_resilient(
@@ -534,7 +511,7 @@ def test_profile_guided_sweep_journals_profile(tmp_path):
 def test_static_resume_does_not_alias_guided_journal(tmp_path):
     """A guided record must not prove the *static* point complete: the
     two identities digest differently, so resume never aliases them."""
-    from repro.obs.manifest import point_digest
+    from repro.obs.manifest import config_digest
 
     manifest = tmp_path / "man.jsonl"
     run_resilient(
@@ -548,15 +525,6 @@ def test_static_resume_does_not_alias_guided_journal(tmp_path):
     (record,) = read_manifest(manifest)
     done = completed_points(manifest)
     assert record["point_digest"] in done  # the guided identity is proven
-    static_digest = point_digest(
-        workload=record["workload"],
-        config=record["config"],
-        scale=record["scale"],
-        seed=record["seed"],
-        divider=record["divider"],
-        fabric=record.get("fabric"),
-        policy=record.get("policy"),
-        faults=record.get("faults"),
-        # no profile field: the static identity of the same point
-    )
+    # The static identity of the same point.
+    static_digest = config_digest({**record["spec"], "profile_guided": False})
     assert static_digest not in done
