@@ -741,7 +741,7 @@ def cmd_figure(args) -> int:
         "critblame", "fdo",
     ):
         kwargs["workloads"] = args.workloads
-    if args.jobs > 1 and args.name == "fig11":
+    if args.name == "fig11":
         kwargs["jobs"] = args.jobs
     print(format_figure(fig(**kwargs)))
     return 0

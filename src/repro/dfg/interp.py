@@ -5,6 +5,9 @@ memory. This is the compiler's functional oracle: it must agree with the
 IR interpreter on final memory for every kernel (and the timed simulator
 must agree with both).
 
+Each node's input FIFOs are one :func:`repro.dfg.ops.input_queues` row,
+which :func:`repro.dfg.ops.decide` reads directly.
+
 The scheduling ``order`` is configurable ('fifo', 'lifo', 'random') so tests
 can shake out ordering races: a correctly lowered graph produces identical
 results under every admissible firing order.
@@ -15,41 +18,18 @@ from __future__ import annotations
 import random as _random
 from collections import deque
 
-from repro.dfg.graph import DFG, Node, PortRef
-from repro.dfg.ops import NO_EMIT, FifoLike, decide, fresh_state
+from repro.dfg.graph import DFG
+from repro.dfg.ops import (
+    NO_EMIT,
+    decide,
+    fresh_state,
+    input_queues,
+    unfinished,
+)
 from repro.errors import DFGError
 
 #: Safety net against graphs that never quiesce.
 MAX_FIRINGS = 100_000_000
-
-
-class _Fifos(FifoLike):
-    def __init__(self, dfg: DFG):
-        self.queues: dict[tuple[int, int], deque] = {}
-        for node in dfg.nodes.values():
-            for index, inp in enumerate(node.inputs):
-                if isinstance(inp, PortRef):
-                    self.queues[(node.nid, index)] = deque()
-
-    def has(self, node: Node, index: int) -> bool:
-        return bool(self.queues[(node.nid, index)])
-
-    def peek(self, node: Node, index: int):
-        return self.queues[(node.nid, index)][0]
-
-    def pop(self, node: Node, index: int):
-        return self.queues[(node.nid, index)].popleft()
-
-    def push(self, nid: int, index: int, value) -> None:
-        self.queues[(nid, index)].append(value)
-
-    def residue(self) -> list[tuple[int, int, int]]:
-        """Non-empty FIFOs at quiescence: (node, port, depth)."""
-        return [
-            (nid, idx, len(q))
-            for (nid, idx), q in self.queues.items()
-            if q
-        ]
 
 
 class InterpResult:
@@ -101,7 +81,7 @@ def run_dfg(
             data = [zero] * size
         memory[name] = data
 
-    fifos = _Fifos(dfg)
+    inputs = {nid: input_queues(node) for nid, node in dfg.nodes.items()}
     states = {nid: fresh_state(node) for nid, node in dfg.nodes.items()}
     consumers = dfg.consumers()
     rng = _random.Random(seed)
@@ -130,7 +110,8 @@ def run_dfg(
             raise DFGError(f"unknown scheduling order {order!r}")
         in_pending.discard(nid)
         node = dfg.nodes[nid]
-        decision = decide(node, states[nid], fifos, params)
+        row = inputs[nid]
+        decision = decide(node, states[nid], row, params)
         if decision is None:
             continue
         fired_total += 1
@@ -139,7 +120,7 @@ def run_dfg(
         firings[node.op] = firings.get(node.op, 0) + 1
         node_firings[nid] = node_firings.get(nid, 0) + 1
         for index in decision.pops:
-            fifos.pop(node, index)
+            row[index].popleft()
         if decision.state is not None:
             states[nid].update(decision.state)
         emit = decision.emit
@@ -158,17 +139,22 @@ def run_dfg(
                 emit = 0  # the store's ordering token
         if emit is not NO_EMIT:
             for consumer, index in consumers[nid]:
-                fifos.push(consumer, index, emit)
+                inputs[consumer][index].append(emit)
                 wake(consumer)
         # The node may be ready again immediately (queued tokens).
         wake(nid)
 
-    _check_quiescent(dfg, fifos, states)
+    _check_quiescent(dfg, inputs, states)
     return InterpResult(memory, firings, node_firings)
 
 
-def _check_quiescent(dfg: DFG, fifos: _Fifos, states: dict) -> None:
-    residue = fifos.residue()
+def _check_quiescent(dfg: DFG, inputs: dict, states: dict) -> None:
+    residue = [
+        (nid, index, len(queue))
+        for nid, row in inputs.items()
+        for index, queue in enumerate(row)
+        if queue
+    ]
     if residue:
         nid, idx, depth = residue[0]
         node = dfg.nodes[nid]
@@ -177,13 +163,7 @@ def _check_quiescent(dfg: DFG, fifos: _Fifos, states: dict) -> None:
             f"first: node {nid} ({node.op} {node.tag!r}) port "
             f"{node.port_name(idx)} holds {depth} token(s)"
         )
-    for nid, state in states.items():
-        node = dfg.nodes[nid]
-        if node.op == "carry" and state["phase"] != "init":
-            raise DFGError(
-                f"carry node {nid} ({node.tag!r}) left in RUN phase"
-            )
-        if node.op == "invariant" and state["held"]:
-            raise DFGError(
-                f"invariant node {nid} ({node.tag!r}) left holding a value"
-            )
+    for nid, node in dfg.nodes.items():
+        reason = unfinished(node, states[nid])
+        if reason is not None:
+            raise DFGError(f"node {nid} ({node.tag!r}): {reason}")

@@ -6,17 +6,20 @@ simulator (:mod:`repro.sim.engine`) decide node firings through
 exactly one place; the two executors differ only in when a ready node gets
 to fire and how long memory takes.
 
-A decision is computed from peeked FIFO heads without mutating anything;
-the caller applies it (pop inputs, update state, emit / issue the memory
-request) once it has checked machine-specific constraints such as
-downstream buffer space.
+Each executor holds a node's input FIFOs as one row built by
+:func:`input_queues` — a ``deque`` per port input, ``None`` per immediate
+— and :func:`decide` reads that row directly. A decision is computed from
+the queue heads without mutating anything; the caller applies it (pop
+inputs, update state, emit / issue the memory request) once it has
+checked machine-specific constraints such as downstream buffer space.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
-from repro.dfg.graph import ImmRef, Node, PortRef
+from repro.dfg.graph import Node, PortRef
 from repro.errors import DFGError
 from repro.isa import apply_binop, apply_unop, truthy
 
@@ -50,14 +53,11 @@ class Decision:
     state: dict | None = None  # replacement node state, if changed
 
 
-class FifoLike:
-    """Interface the decision logic needs: peek token availability/values."""
-
-    def has(self, node: Node, index: int) -> bool:
-        raise NotImplementedError
-
-    def peek(self, node: Node, index: int):
-        raise NotImplementedError
+def input_queues(node: Node) -> list[deque | None]:
+    """A node's input row: an empty token FIFO per port, None per immediate."""
+    return [
+        deque() if isinstance(inp, PortRef) else None for inp in node.inputs
+    ]
 
 
 def fresh_state(node: Node) -> dict:
@@ -71,28 +71,39 @@ def fresh_state(node: Node) -> dict:
     return {}
 
 
-def _ready(node: Node, fifos: FifoLike, index: int) -> bool:
-    if isinstance(node.inputs[index], ImmRef):
-        return True
-    return fifos.has(node, index)
+def unfinished(node: Node, state: dict) -> str | None:
+    """Why ``node`` is left mid-protocol at quiescence, or None if at rest."""
+    if node.op == "carry" and state["phase"] != "init":
+        return "carry left in RUN phase"
+    if node.op == "invariant" and state["held"]:
+        return "invariant left holding a value"
+    return None
 
 
-def _value(node: Node, fifos: FifoLike, index: int, params: dict):
-    inp = node.inputs[index]
-    if isinstance(inp, ImmRef):
-        return inp.resolve(params)
-    return fifos.peek(node, index)
+def _ready(inputs: list, index: int) -> bool:
+    queue = inputs[index]
+    return queue is None or bool(queue)
 
 
-def _pops(node: Node, *indices: int) -> list[int]:
+def _value(node: Node, inputs: list, index: int, params: dict):
+    queue = inputs[index]
+    if queue is None:
+        return node.inputs[index].resolve(params)
+    return queue[0]
+
+
+def _pops(inputs: list, *indices: int) -> list[int]:
     """Only port inputs are actually popped; immediates are persistent."""
-    return [i for i in indices if isinstance(node.inputs[i], PortRef)]
+    return [i for i in indices if inputs[i] is not None]
 
 
 def decide(
-    node: Node, state: dict, fifos: FifoLike, params: dict
+    node: Node, state: dict, inputs: list, params: dict
 ) -> Decision | None:
-    """Return the firing decision for ``node``, or None if not ready."""
+    """Return the firing decision for ``node``, or None if not ready.
+
+    ``inputs`` is the node's :func:`input_queues` row.
+    """
     op = node.op
     if op == "source":
         if state["fired"]:
@@ -100,55 +111,55 @@ def decide(
         return Decision(emit=0, state={"fired": True})
 
     if op == "inject":
-        if not _ready(node, fifos, 0):
+        if not _ready(inputs, 0):
             return None
         value = node.attrs["value"].resolve(params)
-        return Decision(pops=_pops(node, 0), emit=value)
+        return Decision(pops=_pops(inputs, 0), emit=value)
 
     if op in ("binop", "unop"):
-        if not all(_ready(node, fifos, i) for i in range(len(node.inputs))):
+        if not all(_ready(inputs, i) for i in range(len(inputs))):
             return None
         if op == "binop":
             result = apply_binop(
                 node.attrs["opname"],
-                _value(node, fifos, 0, params),
-                _value(node, fifos, 1, params),
+                _value(node, inputs, 0, params),
+                _value(node, inputs, 1, params),
             )
-            return Decision(pops=_pops(node, 0, 1), emit=result)
+            return Decision(pops=_pops(inputs, 0, 1), emit=result)
         result = apply_unop(
-            node.attrs["opname"], _value(node, fifos, 0, params)
+            node.attrs["opname"], _value(node, inputs, 0, params)
         )
-        return Decision(pops=_pops(node, 0), emit=result)
+        return Decision(pops=_pops(inputs, 0), emit=result)
 
     if op == "steer":
-        if not (_ready(node, fifos, 0) and _ready(node, fifos, 1)):
+        if not (_ready(inputs, 0) and _ready(inputs, 1)):
             return None
-        dec = truthy(_value(node, fifos, 0, params))
-        value = _value(node, fifos, 1, params)
+        dec = truthy(_value(node, inputs, 0, params))
+        value = _value(node, inputs, 1, params)
         emit = value if dec == node.attrs["polarity"] else NO_EMIT
-        return Decision(pops=_pops(node, 0, 1), emit=emit)
+        return Decision(pops=_pops(inputs, 0, 1), emit=emit)
 
     if op == "invariant":
         # Port 0: val (once per region activation); port 1: dec.
         if not state["held"]:
-            if not (_ready(node, fifos, 0) and _ready(node, fifos, 1)):
+            if not (_ready(inputs, 0) and _ready(inputs, 1)):
                 return None
-            dec = truthy(_value(node, fifos, 1, params))
-            value = _value(node, fifos, 0, params)
+            dec = truthy(_value(node, inputs, 1, params))
+            value = _value(node, inputs, 0, params)
             if dec:
                 return Decision(
-                    pops=_pops(node, 0, 1),
+                    pops=_pops(inputs, 0, 1),
                     emit=value,
                     state={"held": True, "value": value},
                 )
-            return Decision(pops=_pops(node, 0, 1), emit=NO_EMIT)
-        if not _ready(node, fifos, 1):
+            return Decision(pops=_pops(inputs, 0, 1), emit=NO_EMIT)
+        if not _ready(inputs, 1):
             return None
-        dec = truthy(_value(node, fifos, 1, params))
+        dec = truthy(_value(node, inputs, 1, params))
         if dec:
-            return Decision(pops=_pops(node, 1), emit=state["value"])
+            return Decision(pops=_pops(inputs, 1), emit=state["value"])
         return Decision(
-            pops=_pops(node, 1),
+            pops=_pops(inputs, 1),
             emit=NO_EMIT,
             state={"held": False, "value": None},
         )
@@ -156,49 +167,49 @@ def decide(
     if op == "carry":
         # Ports: init, back, dec.
         if state["phase"] == "init":
-            if not _ready(node, fifos, 0):
+            if not _ready(inputs, 0):
                 return None
-            value = _value(node, fifos, 0, params)
+            value = _value(node, inputs, 0, params)
             return Decision(
-                pops=_pops(node, 0), emit=value, state={"phase": "run"}
+                pops=_pops(inputs, 0), emit=value, state={"phase": "run"}
             )
-        if not _ready(node, fifos, 2):
+        if not _ready(inputs, 2):
             return None
-        dec = truthy(_value(node, fifos, 2, params))
+        dec = truthy(_value(node, inputs, 2, params))
         if not dec:
             return Decision(
-                pops=_pops(node, 2), emit=NO_EMIT, state={"phase": "init"}
+                pops=_pops(inputs, 2), emit=NO_EMIT, state={"phase": "init"}
             )
-        if not _ready(node, fifos, 1):
+        if not _ready(inputs, 1):
             return None
-        value = _value(node, fifos, 1, params)
-        return Decision(pops=_pops(node, 1, 2), emit=value)
+        value = _value(node, inputs, 1, params)
+        return Decision(pops=_pops(inputs, 1, 2), emit=value)
 
     if op == "merge":
         # Ports: dec, t, f. Peek the decider, then wait for the chosen arm.
-        if not _ready(node, fifos, 0):
+        if not _ready(inputs, 0):
             return None
-        dec = truthy(_value(node, fifos, 0, params))
+        dec = truthy(_value(node, inputs, 0, params))
         chosen = 1 if dec else 2
-        if not _ready(node, fifos, chosen):
+        if not _ready(inputs, chosen):
             return None
-        value = _value(node, fifos, chosen, params)
-        return Decision(pops=_pops(node, 0, chosen), emit=value)
+        value = _value(node, inputs, chosen, params)
+        return Decision(pops=_pops(inputs, 0, chosen), emit=value)
 
     if op == "select":
         # Eager ternary: both arms are computed unconditionally; consume
         # all three inputs and forward the chosen value.
-        if not all(_ready(node, fifos, i) for i in range(3)):
+        if not all(_ready(inputs, i) for i in range(3)):
             return None
-        dec = truthy(_value(node, fifos, 0, params))
-        value = _value(node, fifos, 1 if dec else 2, params)
-        return Decision(pops=_pops(node, 0, 1, 2), emit=value)
+        dec = truthy(_value(node, inputs, 0, params))
+        value = _value(node, inputs, 1 if dec else 2, params)
+        return Decision(pops=_pops(inputs, 0, 1, 2), emit=value)
 
     if op in ("load", "store"):
-        arity = len(node.inputs)
-        if not all(_ready(node, fifos, i) for i in range(arity)):
+        arity = len(inputs)
+        if not all(_ready(inputs, i) for i in range(arity)):
             return None
-        index = _value(node, fifos, 0, params)
+        index = _value(node, inputs, 0, params)
         if index != int(index):
             raise DFGError(
                 f"node {node.nid}: non-integer index {index!r} into "
@@ -211,15 +222,15 @@ def decide(
                 "store",
                 node.attrs["array"],
                 int(index),
-                _value(node, fifos, 1, params),
+                _value(node, inputs, 1, params),
             )
         # The emitted token (loaded value, or 0 for a store's ordering
         # token) is produced by the executor when the access completes.
-        return Decision(pops=_pops(node, *range(arity)), mem=request)
+        return Decision(pops=_pops(inputs, *range(arity)), mem=request)
 
     if op == "join":
-        if not all(_ready(node, fifos, i) for i in range(len(node.inputs))):
+        if not all(_ready(inputs, i) for i in range(len(inputs))):
             return None
-        return Decision(pops=_pops(node, *range(len(node.inputs))), emit=0)
+        return Decision(pops=_pops(inputs, *range(len(inputs))), emit=0)
 
     raise DFGError(f"unknown op {op!r}")

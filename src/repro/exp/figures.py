@@ -16,7 +16,9 @@ from repro.arch.fabric import build_fabric, monaco
 from repro.arch.params import ArchParams
 from repro.core.policy import DOMAIN_AWARE, DOMAIN_UNAWARE, EFFCC
 from repro.errors import PnRError
+from repro.exp.cache import GLOBAL_CACHE
 from repro.exp.configs import MONACO, ideal, numa, primary_configs, upea
+from repro.exp.resilient import run_resilient
 from repro.exp.runner import compile_cached, run_config
 from repro.workloads.registry import ALL_WORKLOADS, make_workload
 
@@ -283,9 +285,10 @@ def fig11(
 ) -> FigureResult:
     """Monaco vs Ideal / UPEA2 / NUMA-UPEA2 across workloads (Fig. 11).
 
-    ``jobs > 1`` fans the (workload x config) sweep out over worker
-    processes via :func:`repro.exp.runner.run_parallel`; rows are
-    bit-identical to the serial sweep (the simulator is deterministic).
+    The (workload x config) sweep runs through
+    :func:`repro.exp.resilient.run_resilient`: in-process for ``jobs=1``,
+    fanned out over ``jobs`` worker processes otherwise; rows are
+    bit-identical either way (the simulator is deterministic).
 
     ``sweep_policy`` (a :class:`repro.exp.resilient.SweepPolicy` with
     ``on_failure != "abort"``) renders whatever the sweep salvaged:
@@ -294,7 +297,6 @@ def fig11(
     geomeans cover the surviving rows only.
     """
     arch = arch or ArchParams()
-    fabric = monaco(12, 12)
     configs = primary_configs()
     result = FigureResult(
         "fig11",
@@ -302,44 +304,29 @@ def fig11(
         [c.name for c in configs],
     )
     names = _workload_list(workloads)
-    if jobs > 1 or sweep_policy is not None:
-        from repro.exp.cache import GLOBAL_CACHE
-        from repro.exp.resilient import run_resilient
-
-        outcome = run_resilient(
-            names,
-            configs,
-            scale=scale,
-            seeds=(seed,),
-            arch=arch,
-            max_workers=jobs,
-            cache_dir=GLOBAL_CACHE.disk_dir,
-            sweep_policy=sweep_policy,
-        )
-        per_workload = {
-            name: {
-                c.name: (
-                    outcome.results[(name, c.name, seed)].cycles
-                    if (name, c.name, seed) in outcome.results
-                    else None
-                )
-                for c in configs
-            }
-            for name in names
-        }
-        for failure in outcome.failures:
-            result.notes.append(f"gap: {failure.describe()}")
-    else:
-        per_workload = {}
-        for name in names:
-            instance = make_workload(name, scale=scale, seed=seed)
-            compiled = compile_cached(
-                instance, fabric, arch, policy=EFFCC, seed=seed
+    outcome = run_resilient(
+        names,
+        configs,
+        scale=scale,
+        seeds=(seed,),
+        arch=arch,
+        max_workers=jobs,
+        cache_dir=GLOBAL_CACHE.disk_dir,
+        sweep_policy=sweep_policy,
+    )
+    per_workload = {
+        name: {
+            c.name: (
+                outcome.results[(name, c.name, seed)].cycles
+                if (name, c.name, seed) in outcome.results
+                else None
             )
-            per_workload[name] = {
-                c.name: run_config(instance, compiled, c, arch).cycles
-                for c in configs
-            }
+            for c in configs
+        }
+        for name in names
+    }
+    for failure in outcome.failures:
+        result.notes.append(f"gap: {failure.describe()}")
     for name in names:
         cycles = per_workload[name]
         base = cycles.get("monaco")

@@ -20,18 +20,21 @@ requests but always deliver responses in issue order.
 Executed-tick hot path
 ----------------------
 Firing-dense workloads execute nearly every fabric tick, so per-tick
-cost is wall clock. The dispatch state is therefore laid out in dense
-``nid``-indexed parallel arrays built once at init (node refs, consumer
-edge lists with pre-resolved FIFO deques and hop counts, producer ids
-per input port, response queues), the active and emit-candidate sets are
-incrementally-maintained ordered lists (:class:`_OrderedIntSet` — same
-iteration order as the ``sorted(set)`` they replace), and per-op firing
-counts accumulate in an interned int array folded into
-``SimStats.firings`` at quiescence. All of it is an *optimization, not
-an approximation*: results are bit-identical to the per-tick-``sorted``
-engine (pinned pre-rewrite digests in ``tests/test_engine_hot.py``), and
-the :meth:`state_dict` schema is unchanged, so pre-rewrite snapshots
-restore into the dense layout.
+cost is wall clock. The engine state is therefore laid out in dense
+``nid``-indexed lists built once at init, and they are its only copy:
+``inputs`` (each node's :func:`repro.dfg.ops.input_queues` row, read
+directly by :func:`repro.dfg.ops.decide`), ``states`` and ``resp_queue``,
+plus the derived dispatch tables (node refs, consumer edge lists with
+pre-resolved FIFO deques and hop counts, producer ids per input port).
+The active and emit-candidate sets are incrementally-maintained ordered
+lists (:class:`_OrderedIntSet` — same iteration order as the
+``sorted(set)`` they replace), and per-op firing counts accumulate in an
+interned int array folded into ``SimStats.firings`` at quiescence. All
+of it is an *optimization, not an approximation*: results are
+bit-identical to the per-tick-``sorted`` engine (pinned pre-rewrite
+digests in ``tests/test_engine_hot.py``), and :meth:`_Engine.state_dict`
+converts the lists to the unchanged dict-keyed schema, so pre-rewrite
+snapshots restore into the dense layout.
 """
 
 from __future__ import annotations
@@ -42,44 +45,19 @@ from collections import deque
 from repro.arch.memory import AddressMap
 from repro.arch.params import ArchParams
 from repro.dfg.graph import DFG, PortRef
-from repro.dfg.ops import NO_EMIT, FifoLike, decide, fresh_state
+from repro.dfg.ops import (
+    NO_EMIT,
+    decide,
+    fresh_state,
+    input_queues,
+    unfinished,
+)
 from repro.errors import DeadlockError, SimulationError
 from repro.obs.events import FIRE
 from repro.pnr.result import CompiledKernel
 from repro.sim.fmnoc_sim import MonacoFrontend
 from repro.sim.memsys import MemorySystem, RequestRecord
 from repro.sim.stats import SimStats
-
-
-class _Fifos(FifoLike):
-    """Per-port input FIFOs with two views of the same deques.
-
-    ``queues`` keys by ``(nid, index)`` — the stable identity tests and
-    the snapshot layer use. ``by_node`` is a dense nid-indexed table of
-    per-port deque refs (None for immediates) so :func:`decide`'s
-    ``has``/``peek`` resolve with an int index instead of hashing a
-    fresh tuple per call. Both views alias the *same* deque objects, and
-    restore refills them in place, so neither ever goes stale.
-    """
-
-    def __init__(self, dfg: DFG):
-        self.queues: dict[tuple[int, int], deque] = {}
-        size = max(dfg.nodes, default=-1) + 1
-        self.by_node: list[list[deque | None] | None] = [None] * size
-        for node in dfg.nodes.values():
-            row: list[deque | None] = [None] * len(node.inputs)
-            for index, inp in enumerate(node.inputs):
-                if isinstance(inp, PortRef):
-                    queue: deque = deque()
-                    self.queues[(node.nid, index)] = queue
-                    row[index] = queue
-            self.by_node[node.nid] = row
-
-    def has(self, node, index):
-        return bool(self.by_node[node.nid][index])
-
-    def peek(self, node, index):
-        return self.by_node[node.nid][index][0]
 
 
 class _OrderedIntSet:
@@ -392,29 +370,13 @@ class _Engine:
 
         self.capacity = arch.sim.fifo_capacity
         self.max_outstanding = arch.sim.max_outstanding
-        self.fifos = _Fifos(self.dfg)
-        self.states = {
-            nid: fresh_state(node) for nid, node in self.dfg.nodes.items()
-        }
         self.consumers = self.dfg.consumers()
-        self.producer_of: dict[tuple[int, int], int] = {}
-        for node in self.dfg.nodes.values():
-            for index, inp in enumerate(node.inputs):
-                if isinstance(inp, PortRef):
-                    self.producer_of[(node.nid, index)] = inp.src
-        self.resp_queue: dict[int, deque] = {
-            n.nid: deque() for n in self.dfg.memory_nodes()
-        }
-        # Hops per (producer, consumer) edge from the routed design, for
-        # data-movement energy accounting. Falls back to Manhattan
-        # distance for edges the router did not record.
-        self.edge_hops: dict[tuple[int, int], int] = {}
-        self._init_edge_hops()
         self.domain_of = {
             n.nid: compiled.domain_of(n.nid) for n in self.dfg.memory_nodes()
         }
-        #: Dense dispatch tables indexed by nid (and the active/emit
-        #: ordered lists they pair with); see the module docstring.
+        #: Engine state and dispatch tables indexed by nid (and the
+        #: active/emit ordered lists they pair with); see the module
+        #: docstring.
         self._size = max(self.dfg.nodes, default=-1) + 1
         self._dense_init()
         self.active = _OrderedIntSet(self._size)
@@ -455,19 +417,23 @@ class _Engine:
         self.snapshots = None
 
     def _dense_init(self) -> None:
-        """Build the nid-indexed dispatch tables once.
+        """Build the nid-indexed state and dispatch tables once.
 
-        Every entry aliases the canonical dict-keyed structure it
-        mirrors (``fifos.queues`` deques, ``states`` dicts, ``consumers``
-        lists, ``resp_queue`` deques), and restore refills those in
-        place, so the tables never go stale across a snapshot resume.
+        ``inputs``, ``states`` and ``resp_queue`` are the engine's only
+        copy of its FIFOs, node states and response queues (None at nids
+        without a node, or without memory for ``resp_queue``). Restore
+        refills their deques and dicts in place, so the consumer edges
+        that hold the same deques never go stale across a resume.
         """
         size = self._size
         self._node_by_id = [None] * size
-        self._state_by_id: list[dict | None] = [None] * size
+        #: Per nid: the node's input row, one deque per port input.
+        self.inputs: list[list[deque | None] | None] = [None] * size
+        self.states: list[dict | None] = [None] * size
         #: Per nid: [(fifo_key, consumer_fifo, hops, consumer_nid), ...].
         self._consumer_edges: list[list[tuple]] = [[] for _ in range(size)]
-        self._resp_by_id: list[deque | None] = [None] * size
+        #: Per memory nid: issued requests, in issue order.
+        self.resp_queue: list[deque | None] = [None] * size
         #: Per nid, per input port: producer nid (PortRef inputs only).
         self._producer_by_port: list[list[int | None]] = [
             [] for _ in range(size)
@@ -480,7 +446,8 @@ class _Engine:
         self._source_nids: list[int] = []
         for nid, node in self.dfg.nodes.items():
             self._node_by_id[nid] = node
-            self._state_by_id[nid] = self.states[nid]
+            self.inputs[nid] = input_queues(node)
+            self.states[nid] = fresh_state(node)
             self._nid_op[nid] = op_index.setdefault(node.op, len(op_index))
             self._placement_by_id[nid] = self.compiled.placement.get(nid)
             row: list[int | None] = [None] * len(node.inputs)
@@ -490,15 +457,15 @@ class _Engine:
             self._producer_by_port[nid] = row
             if node.op == "source":
                 self._source_nids.append(nid)
-        for nid in self.resp_queue:
-            self._resp_by_id[nid] = self.resp_queue[nid]
-        queues = self.fifos.queues
+        for node in self.dfg.memory_nodes():
+            self.resp_queue[node.nid] = deque()
+        edge_hops = self._edge_hops()
         for producer, consumers in self.consumers.items():
             self._consumer_edges[producer] = [
                 (
                     (consumer, index),
-                    queues[(consumer, index)],
-                    self.edge_hops[(producer, consumer)],
+                    self.inputs[consumer][index],
+                    edge_hops[(producer, consumer)],
                     consumer,
                 )
                 for consumer, index in consumers
@@ -524,7 +491,12 @@ class _Engine:
                 firings[name] = firings.get(name, 0) + count
                 counts[op_id] = 0
 
-    def _init_edge_hops(self) -> None:
+    def _edge_hops(self) -> dict[tuple[int, int], int]:
+        """Hops per (producer, consumer) edge from the routed design.
+
+        Feeds data-movement energy accounting; falls back to Manhattan
+        distance for edges the router did not record.
+        """
         from repro.pnr.netlist import build_netlist
 
         netlist = build_netlist(self.dfg)
@@ -534,18 +506,20 @@ class _Engine:
             for sink, count in hops.items():
                 routed[(net.src, sink)] = count
         placement = self.compiled.placement
+        edge_hops: dict[tuple[int, int], int] = {}
         for producer, consumers in self.consumers.items():
             for consumer, _ in consumers:
                 key = (producer, consumer)
-                if key in self.edge_hops:
+                if key in edge_hops:
                     continue
                 if key in routed:
-                    self.edge_hops[key] = routed[key]
+                    edge_hops[key] = routed[key]
                 else:
                     (ax, ay), (bx, by) = placement[producer], placement[
                         consumer
                     ]
-                    self.edge_hops[key] = abs(ax - bx) + abs(ay - by)
+                    edge_hops[key] = abs(ax - bx) + abs(ay - by)
+        return edge_hops
 
     # -- helpers ---------------------------------------------------------
 
@@ -740,7 +714,7 @@ class _Engine:
         # could still act. Sources are enumerated once at init, so this
         # is O(#sources) membership checks, not a scan of ``active``.
         active_has = self.active.has
-        states = self._state_by_id
+        states = self.states
         for nid in self._source_nids:
             if active_has(nid) and not states[nid]["fired"]:
                 return True
@@ -811,14 +785,14 @@ class _Engine:
     def _stall_reason(self, nid: int) -> str:
         """Why ``nid`` cannot fire right now (side-effect-free peek)."""
         node = self.dfg.nodes[nid]
-        queue = self.resp_queue.get(nid)
+        queue = self.resp_queue[nid]
         if queue and queue[0].arrived_cycle is not None:
             # A memory response is back at the PE but cannot be emitted.
             if not self.can_emit(nid):
                 return "fifo-full"
         try:
             decision = decide(
-                node, self.states[nid], self.fifos, self.params
+                node, self.states[nid], self.inputs[nid], self.params
             )
         except Exception:  # pragma: no cover - diagnostic path only
             return "operand-wait"
@@ -840,7 +814,7 @@ class _Engine:
         obs = self.obs
         emit = self.emit_candidates
         member = emit._member
-        resp = self._resp_by_id
+        resp = self.resp_queue
         for nid in emit.iter_ordered():
             if not member[nid]:
                 continue
@@ -882,13 +856,12 @@ class _Engine:
         discard = active.discard
         add = active.add
         nodes = self._node_by_id
-        states = self._state_by_id
-        resp = self._resp_by_id
+        states = self.states
+        resp = self.resp_queue
         producers = self._producer_by_port
-        in_fifos = self.fifos.by_node
+        inputs = self.inputs
         fire_counts = self._fire_counts
         nid_op = self._nid_op
-        fifos = self.fifos
         params = self.params
         capacity = self.capacity
         max_outstanding = self.max_outstanding
@@ -899,7 +872,7 @@ class _Engine:
         for nid in active.iter_ordered():
             if not member[nid]:
                 continue
-            decision = decide(nodes[nid], states[nid], fifos, params)
+            decision = decide(nodes[nid], states[nid], inputs[nid], params)
             if decision is None:
                 discard(nid)
                 continue
@@ -925,7 +898,7 @@ class _Engine:
             # Commit the firing.
             pops = decision.pops
             if pops:
-                fifo_row = in_fifos[nid]
+                fifo_row = inputs[nid]
                 producer_row = producers[nid]
                 for index in pops:
                     queue = fifo_row[index]
@@ -971,7 +944,7 @@ class _Engine:
             pe_coord=self._placement_by_id[nid],
             issue_cycle=now,
         )
-        self._resp_by_id[nid].append(record)
+        self.resp_queue[nid].append(record)
         self.mem_inflight += 1
         self.frontend.inject(record, now)
 
@@ -986,22 +959,28 @@ class _Engine:
         arrivals heap, bank queues and frontend latches). The ``obs``
         and ``check`` entries are the live objects themselves: they are
         closures over nothing but plain data, so they pickle wholesale.
-        The schema is the pre-dense-rewrite one — ``active`` and
-        ``emit_candidates`` serialize as plain sets, firing counters are
-        folded first — so snapshots stay portable across engine layouts.
+        The schema is the pre-dense-rewrite one, built from the
+        nid-indexed lists: ``fifos`` keys each port queue by ``(nid,
+        index)``, ``states``/``resp_queue`` key by nid, ``active`` and
+        ``emit_candidates`` serialize as plain sets and firing counters
+        are folded first — so snapshots stay portable across engine
+        layouts.
         """
         self._fold_firings()
+        nids = list(self.dfg.nodes)
         return {
             "now": self.now,
             "last_event": self.last_event,
             "fifos": {
-                key: list(queue) for key, queue in self.fifos.queues.items()
+                (nid, index): list(queue)
+                for nid in nids
+                for index, queue in enumerate(self.inputs[nid])
+                if queue is not None
             },
-            "states": {
-                nid: dict(state) for nid, state in self.states.items()
-            },
+            "states": {nid: dict(self.states[nid]) for nid in nids},
             "resp_queue": {
-                nid: list(queue) for nid, queue in self.resp_queue.items()
+                node.nid: list(self.resp_queue[node.nid])
+                for node in self.dfg.memory_nodes()
             },
             "arrivals": list(self.arrivals),
             "arrival_order": self._arrival_order,
@@ -1023,15 +1002,16 @@ class _Engine:
     def load_state_dict(self, state: dict) -> None:
         """Restore a :meth:`state_dict` in place (resume path).
 
-        Structural containers (FIFO dict, node states, resp queues,
-        memory arrays) are refilled rather than replaced, preserving the
-        identities the constructor — and :meth:`_dense_init` — wired up;
-        the ``obs``/``check`` objects from the snapshot *replace* the
-        freshly-built ones — their accumulated history is part of the
-        machine state — and the aliases on the memory system and
-        frontend are re-pointed accordingly. The plain-set ``active``/
-        ``emit_candidates`` entries (the portable schema, unchanged
-        since before the dense rewrite) rebuild the ordered lists.
+        The schema's entries are refilled into the nid-indexed FIFO
+        deques, node states and resp queues (and memory arrays) rather
+        than replacing them, preserving the identities
+        :meth:`_dense_init` wired up; the ``obs``/``check`` objects from
+        the snapshot *replace* the freshly-built ones — their accumulated
+        history is part of the machine state — and the aliases on the
+        memory system and frontend are re-pointed accordingly. The
+        plain-set ``active``/``emit_candidates`` entries (the portable
+        schema, unchanged since before the dense rewrite) rebuild the
+        ordered lists.
         """
         for side, present in (
             ("faults", state["faults"] is not None),
@@ -1045,8 +1025,8 @@ class _Engine:
                 )
         self.now = state["now"]
         self.last_event = state["last_event"]
-        for key, items in state["fifos"].items():
-            queue = self.fifos.queues[key]
+        for (nid, index), items in state["fifos"].items():
+            queue = self.inputs[nid][index]
             queue.clear()
             queue.extend(items)
         for nid, node_state in state["states"].items():
@@ -1105,25 +1085,20 @@ class _Engine:
         entries = []
         for nid, node in self.dfg.nodes.items():
             occupancy = {
-                node.port_name(index): len(
-                    self.fifos.queues[(nid, index)]
-                )
-                for index, inp in enumerate(node.inputs)
-                if isinstance(inp, PortRef)
+                node.port_name(index): len(queue)
+                for index, queue in enumerate(self.inputs[nid])
+                if queue is not None
             }
             held = sum(occupancy.values())
-            outstanding = len(self.resp_queue.get(nid, ()))
+            responses = self.resp_queue[nid] or ()
+            outstanding = len(responses)
             if not held and not outstanding:
                 continue
             reason = self._stall_reason(nid)
             fifos = ", ".join(
                 f"{port}:{depth}" for port, depth in occupancy.items()
             )
-            dropped = sum(
-                1
-                for record in self.resp_queue.get(nid, ())
-                if record.dropped
-            )
+            dropped = sum(1 for record in responses if record.dropped)
             lost = f" ({dropped} dropped by fault injection)" if dropped else ""
             entries.append(
                 (
@@ -1146,13 +1121,7 @@ class _Engine:
         return "\n".join(lines)
 
     def _check_final_state(self) -> None:
-        for nid, state in self.states.items():
-            node = self.dfg.nodes[nid]
-            if node.op == "carry" and state["phase"] != "init":
-                raise SimulationError(
-                    f"carry node {nid} ({node.tag!r}) finished in RUN phase"
-                )
-            if node.op == "invariant" and state["held"]:
-                raise SimulationError(
-                    f"invariant node {nid} ({node.tag!r}) finished held"
-                )
+        for nid, node in self.dfg.nodes.items():
+            reason = unfinished(node, self.states[nid])
+            if reason is not None:
+                raise SimulationError(f"node {nid} ({node.tag!r}): {reason}")

@@ -438,13 +438,15 @@ def check_boundary_invariants(engine) -> None:
         raise SimulationError(
             "snapshot boundary: uncommitted pushes mid-fabric-tick"
         )
-    held = sum(len(queue) for queue in engine.fifos.queues.values())
+    held = sum(
+        len(queue) for row in engine.inputs if row for queue in row if queue
+    )
     if held != engine.tokens:
         raise SimulationError(
             f"snapshot boundary: FIFOs hold {held} tokens, "
             f"ledger says {engine.tokens}"
         )
-    outstanding = sum(len(queue) for queue in engine.resp_queue.values())
+    outstanding = sum(len(queue) for queue in engine.resp_queue if queue)
     if outstanding != engine.mem_inflight:
         raise SimulationError(
             f"snapshot boundary: {outstanding} responses outstanding, "

@@ -8,6 +8,9 @@
    pipeline with a small ``deadlock_cycles`` must not false-trip.
 3. ``RequestRecord.enqueue_cycle`` replaces the ``id(record)``-keyed side
    dict in the memory system (robust under pickling and object reuse).
+4. End-of-run protocol state: both executors report a node left
+   mid-protocol through the shared ``dfg.ops.unfinished``, each with its
+   own error type.
 """
 
 import pytest
@@ -16,8 +19,9 @@ from repro.arch.fabric import monaco
 from repro.arch.memory import AddressMap
 from repro.arch.params import ArchParams, MemoryParams, SimParams
 from repro.core.policy import DOMAIN_UNAWARE, EFFCC
-from repro.dfg.ops import MemRequest
-from repro.errors import SimulationError
+from repro.dfg.interp import _check_quiescent
+from repro.dfg.ops import MemRequest, fresh_state, input_queues
+from repro.errors import DFGError, SimulationError
 from repro.pnr.flow import compile_once
 from repro.sim.engine import _Engine, simulate
 from repro.sim.fmnoc_sim import MonacoFrontend
@@ -57,7 +61,8 @@ class TestIntraTickFifoCapacity:
         engine = make_engine()
         producer, key = self._producer_consumer(engine)
         # Fill the consumer FIFO to capacity - 1 committed tokens...
-        queue = engine.fifos.queues[key]
+        consumer, index = key
+        queue = engine.inputs[consumer][index]
         for _ in range(engine.capacity - 1):
             queue.append(0)
         assert engine.can_emit(producer)
@@ -78,7 +83,8 @@ class TestIntraTickFifoCapacity:
         """commit_pushes enforces len(queue) <= capacity at every commit."""
         engine = make_engine()
         producer, key = self._producer_consumer(engine)
-        queue = engine.fifos.queues[key]
+        consumer, index = key
+        queue = engine.inputs[consumer][index]
         for _ in range(engine.capacity):
             queue.append(0)
         pushes = []
@@ -102,7 +108,12 @@ class TestIntraTickFifoCapacity:
         def checked(self, pushes):
             original(self, pushes)
             occupancies.append(
-                max(len(q) for q in self.fifos.queues.values())
+                max(
+                    len(q)
+                    for row in self.inputs
+                    for q in row or ()
+                    if q is not None
+                )
             )
 
         engine_mod._Engine.commit_pushes = checked
@@ -213,3 +224,25 @@ class TestEnqueueCycleField:
         memsys.enqueue(record, 4)
         clone = pickle.loads(pickle.dumps(record))
         assert clone.enqueue_cycle == 4
+
+
+@pytest.mark.parametrize(
+    "executor, error",
+    [("interp", DFGError), ("engine", SimulationError)],
+)
+def test_carry_left_running_raises_executor_error(executor, error):
+    """A carry still in RUN phase at the end is a lowering bug."""
+    engine = make_engine("dot")
+    dfg = engine.dfg
+    carry = next(nid for nid, node in dfg.nodes.items() if node.op == "carry")
+    with pytest.raises(error, match="carry left in RUN phase"):
+        if executor == "interp":
+            states = {nid: fresh_state(node) for nid, node in dfg.nodes.items()}
+            states[carry] = {"phase": "run"}
+            inputs = {
+                nid: input_queues(node) for nid, node in dfg.nodes.items()
+            }
+            _check_quiescent(dfg, inputs, states)
+        else:
+            engine.states[carry] = {"phase": "run"}
+            engine._check_final_state()

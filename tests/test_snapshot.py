@@ -37,6 +37,7 @@ from dataclasses import replace
 import pytest
 
 from repro.arch.fabric import monaco
+from repro.arch.memory import AddressMap
 from repro.arch.params import ArchParams, FaultParams
 from repro.core.policy import EFFCC
 from repro.errors import (
@@ -50,8 +51,10 @@ from repro.exp.configs import MONACO, upea
 from repro.exp.resilient import SweepPolicy, call_with_timeout, run_resilient
 from repro.exp.runner import PAPER_DIVIDER, compile_cached
 from repro.obs.manifest import completed_points, read_manifest, stable_view
-from repro.sim.engine import simulate
+from repro.sim.engine import _Engine, simulate
 from repro.sim.faults import _Stream
+from repro.sim.fmnoc_sim import MonacoFrontend
+from repro.sim.memsys import MemorySystem
 from repro.sim.snapshot import (
     SNAPSHOT_MAGIC,
     CheckpointConfig,
@@ -90,6 +93,26 @@ def _compiled(name):
         )
         _COMPILED[name] = (instance, compiled)
     return _COMPILED[name]
+
+
+def _engine(name):
+    """A freshly built engine at cycle 0, every ledger balanced."""
+    instance, compiled = _compiled(name)
+    arch = ArchParams()
+    memory = {
+        array: list(instance.arrays.get(array, [0] * size))
+        for array, size in compiled.dfg.arrays.items()
+    }
+    address_map = AddressMap(compiled.dfg.arrays, arch.memory)
+    return _Engine(
+        compiled,
+        dict(instance.params),
+        arch,
+        compiled.timing.clock_divider,
+        MemorySystem(arch.memory, address_map, memory),
+        MonacoFrontend(compiled.fabric),
+        address_map,
+    )
 
 
 def _arch(**sim_kwargs) -> ArchParams:
@@ -318,12 +341,33 @@ class TestRejection:
             stats=types.SimpleNamespace(executed_cycles=3, skipped_cycles=0),
             now=5,
             pending_pushes=[],
-            fifos=types.SimpleNamespace(queues={}),
+            inputs=[],
             tokens=0,
-            resp_queue={},
+            resp_queue=[],
             mem_inflight=0,
         )
         with pytest.raises(SimulationError, match="executed"):
+            check_boundary_invariants(engine)
+
+    def test_boundary_invariants_refuse_stray_token(self):
+        engine = _engine("dmv")
+        check_boundary_invariants(engine)  # balanced at cycle 0
+        queue = next(
+            queue
+            for row in engine.inputs
+            for queue in row or ()
+            if queue is not None
+        )
+        queue.append(0)  # a token the ledger never counted
+        with pytest.raises(SimulationError, match="FIFOs hold"):
+            check_boundary_invariants(engine)
+
+    def test_boundary_invariants_refuse_stray_response(self):
+        engine = _engine("dmv")
+        check_boundary_invariants(engine)
+        queue = next(q for q in engine.resp_queue if q is not None)
+        queue.append(None)  # a record the ledger never counted
+        with pytest.raises(SimulationError, match="responses outstanding"):
             check_boundary_invariants(engine)
 
 
